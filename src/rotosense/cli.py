@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -75,7 +74,7 @@ def _load_state_or_exit(path: str, manifest: rio.RunManifest) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def _cmd_qfi(args) -> int:
-    manifest = rio.RunManifest(command="qfi", config={"quadrature_order": args.quadrature_order})
+    manifest = rio.RunManifest(command="qfi")
     rho = _load_state_or_exit(args.state, manifest)
     form = qfi_quadratic_form(rho)
     floor = qcrb_floor(rho.spin)
@@ -89,7 +88,7 @@ def _cmd_qfi(args) -> int:
         report["axis"] = list(args.axis)
         report["qfi"] = form.evaluate(args.axis)
     if args.averaged_inverse:
-        report["averaged_inverse_qfi"] = averaged_inverse_qfi_from_form(form, args.quadrature_order)
+        report["averaged_inverse_qfi"] = averaged_inverse_qfi_from_form(form)
     report["manifest"] = manifest.finish().to_dict()
     _emit(report)
     return EXIT_OK
@@ -200,7 +199,7 @@ def _reproduce_fig1(outdir: Path, manifest: rio.RunManifest) -> None:
     for xi in np.linspace(0.2, 1.0, 200):
         rho = spin2_family(float(xi))
         form = qfi_quadratic_form(rho)
-        inv = averaged_inverse_qfi_from_form(form) if form.isotropy_gap < 1 else math.inf
+        inv = averaged_inverse_qfi_from_form(form)
         rows.append([float(xi), rho.purity, inv,
                      spin2_family_purity(float(xi)), spin2_family_inverse_qfi(float(xi))])
     path = outdir / "fig1.csv"
@@ -306,11 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qfi", help="QFI and averaged Cramer-Rao quantities of a state file")
     p.add_argument("state")
     p.add_argument("--axis", type=_parse_axis, default=None, help="axis as x,y,z")
-    p.add_argument("--averaged", action="store_true",
-                   help="report the sphere-averaged QFI (always included)")
     p.add_argument("--averaged-inverse", action="store_true",
                    help="also report the sphere-averaged inverse QFI")
-    p.add_argument("--quadrature-order", type=int, default=16)
     p.set_defaults(func=_cmd_qfi)
 
     p = sub.add_parser("certify", help="grade a state as an optimal rotosensor")

@@ -8,8 +8,10 @@ vector n,
 
 is quadratic in n because J.n is linear in n.  The full axis dependence is
 therefore carried exactly by a real symmetric 3x3 matrix K with
-I(n, rho) = n^T K n; sphere averages of I reduce to Tr(K)/3 and sphere
-averages of 1/I to a quadrature over the exact quadratic form.
+I(n, rho) = n^T K n.  Both sphere averages are closed forms in K: the
+average of I is Tr(K)/3, and the average of 1/I is Carlson's symmetric
+elliptic integral R_F(k1 k2, k1 k3, k2 k3) of the principal values of K
+(B. C. Carlson, Numer. Algorithms 10, 13 (1995)).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from scipy.special import elliprf
 
 from .spin_core import (
     DEFAULT_RANK_TOL,
@@ -32,8 +34,6 @@ from .spin_core import (
     rotation_operator,
 )
 
-QUADRATURE_CONVERGENCE = 1e-8
-MAX_QUADRATURE_ORDER = 4096
 ISOTROPY_GAP_TOL = 1e-8
 JENSEN_SLACK = 1e-9
 
@@ -169,42 +169,20 @@ def averaged_qfi(rho: DensityMatrix, rank_tolerance: float = DEFAULT_RANK_TOL) -
     return qfi_quadratic_form(rho, rank_tolerance).averaged
 
 
-def averaged_inverse_qfi_from_form(form: QfiQuadraticForm, quadrature_order: int = 16) -> float:
-    """Sphere average of 1/(n^T K n) by Gauss-Legendre x azimuth quadrature.
+def averaged_inverse_qfi_from_form(form: QfiQuadraticForm) -> float:
+    """Sphere average of 1/(n^T K n), exactly R_F(k1 k2, k1 k3, k2 k3).
 
-    The grid doubles in order until successive values agree to 1e-8.  A
-    singular K makes the integrand non-integrable, so +inf is returned.
+    A singular K makes the integrand non-integrable, so +inf is returned.
     """
-    kvals = form.principal_values()
-    if kvals[0] <= 1e-12 * max(kvals[2], 1.0):
+    k1, k2, k3 = form.principal_values()
+    if k1 <= 1e-12 * max(k3, 1.0):
         return math.inf
-    order = max(4, int(quadrature_order))
-    prev = None
-    while order <= MAX_QUADRATURE_ORDER:
-        x, w = leggauss(order)
-        nphi = 2 * order
-        phi = np.arange(nphi) * (2 * math.pi / nphi)
-        st = np.sqrt(1.0 - x**2)
-        q = (
-            kvals[0] * (st[:, None] * np.cos(phi)[None, :]) ** 2
-            + kvals[1] * (st[:, None] * np.sin(phi)[None, :]) ** 2
-            + kvals[2] * (x[:, None] ** 2)
-        )
-        val = float(np.sum(w[:, None] / q) / (2 * nphi))
-        if prev is not None and abs(val - prev) < QUADRATURE_CONVERGENCE:
-            return val
-        prev = val
-        order *= 2
-    raise RuntimeError("inverse-QFI quadrature failed to converge; K nearly singular?")
+    return float(elliprf(k1 * k2, k1 * k3, k2 * k3))
 
 
-def averaged_inverse_qfi(
-    rho: DensityMatrix,
-    quadrature_order: int = 16,
-    rank_tolerance: float = DEFAULT_RANK_TOL,
-) -> float:
+def averaged_inverse_qfi(rho: DensityMatrix, rank_tolerance: float = DEFAULT_RANK_TOL) -> float:
     """Sphere average of 1/I(n, rho); +inf when I vanishes along some axis."""
-    return averaged_inverse_qfi_from_form(qfi_quadratic_form(rho, rank_tolerance), quadrature_order)
+    return averaged_inverse_qfi_from_form(qfi_quadratic_form(rho, rank_tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +205,12 @@ class CrbReport:
                 )
 
 
-def crb_report(rho: DensityMatrix, quadrature_order: int = 16,
-               rank_tolerance: float = DEFAULT_RANK_TOL) -> CrbReport:
+def crb_report(rho: DensityMatrix, rank_tolerance: float = DEFAULT_RANK_TOL) -> CrbReport:
     form = qfi_quadratic_form(rho, rank_tolerance)
     j = rho.spin.j
     return CrbReport(
         averaged_qfi=form.averaged,
-        averaged_inverse_qfi=averaged_inverse_qfi_from_form(form, quadrature_order),
+        averaged_inverse_qfi=averaged_inverse_qfi_from_form(form),
         isotropy_gap=form.isotropy_gap,
         qcrb_lower_bound=3.0 / (4.0 * j * (j + 1.0)) if j > 0 else math.inf,
     )

@@ -57,11 +57,7 @@ class OqrVerdict:
                 )
 
 
-def certify(
-    rho: DensityMatrix,
-    tolerances: Optional[CertificationTolerances] = None,
-    quadrature_order: int = 16,
-) -> OqrVerdict:
+def certify(rho: DensityMatrix, tolerances: Optional[CertificationTolerances] = None) -> OqrVerdict:
     """Grade a state against both rotosensor conditions.
 
     The image frame is extracted from the spectral decomposition and tested
@@ -78,7 +74,7 @@ def certify(
     gap = form.isotropy_gap
     fidelity_grade = g1 <= tol.image_g1
     qcrb_grade = fidelity_grade and check2.holds
-    qcrb_value = averaged_inverse_qfi_from_form(form, quadrature_order)
+    qcrb_value = averaged_inverse_qfi_from_form(form)
     return OqrVerdict(
         is_oqr_fidelity=fidelity_grade,
         is_oqr_qcrb=qcrb_grade,

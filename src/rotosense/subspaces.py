@@ -149,7 +149,7 @@ def objective_g_t(frame: SubspaceFrame, t: int) -> float:
         raise ValueError(f"order t must satisfy 1 <= t <= 2j = {frame.spin.two_j}")
     ts = multipole_stack(frame.spin.two_j, 1, t)
     m = frame.matrix()
-    blocks = np.einsum("kd,ade,le->akl", m, ts, m.conj())
+    blocks = m @ ts @ m.conj().T
     k = frame.k
     iu = np.triu_indices(k)
     return float(np.sum(np.abs(blocks[:, iu[0], iu[1]]) ** 2))

@@ -26,6 +26,9 @@ def state_files(tmp_path):
     rio.save_state(paths["spin3"], spin3_oqr_family(0.2))
     paths["qubit"] = tmp_path / "qubit.json"
     rio.save_state(paths["qubit"], PureState.basis_state(SpinLabel(1), 1))
+    paths["near_singular"] = tmp_path / "near_singular.json"
+    rio.save_state(paths["near_singular"], PureState.from_unnormalized(
+        SpinLabel(4), np.array([1.0, 3e-3, 0.0, 0.0, 0.0], dtype=complex)))
     return paths
 
 
@@ -92,6 +95,12 @@ class TestQfiCommand:
         assert code == 0
         assert json.loads(out)["averaged_inverse_qfi"] == math.inf
 
+    def test_near_singular_form_reports_finite_inverse(self, state_files, capsys):
+        code, out, err = run(capsys, "qfi", str(state_files["near_singular"]), "--averaged-inverse")
+        assert code == 0
+        assert "Traceback" not in err
+        assert json.loads(out)["averaged_inverse_qfi"] == pytest.approx(3.027, abs=1e-3)
+
     def test_malformed_file_fails_with_diagnostic(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"two_j": 1, "kind": "mixed-matrix",
@@ -116,6 +125,13 @@ class TestCertifyCommand:
     def test_spin_half_exit_three(self, state_files, capsys):
         code, _, _ = run(capsys, "certify", str(state_files["qubit"]))
         assert code == 3
+
+    def test_near_singular_form_exit_three(self, state_files, capsys):
+        # K ~ diag(4.9e-10, 4, 4): a verdict with a finite QCRB, not a traceback
+        code, out, err = run(capsys, "certify", str(state_files["near_singular"]))
+        assert code == 3
+        assert "Traceback" not in err
+        assert math.isfinite(json.loads(out)["qcrb"])
 
 
 class TestSearchCommand:

@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from rotosense.metrology import (
@@ -48,6 +50,31 @@ def axial_inverse_average(transverse, axial):
     if c > a:
         return math.atan(math.sqrt((c - a) / a)) / math.sqrt(a * (c - a))
     return math.atanh(math.sqrt((a - c) / a)) / math.sqrt(a * (a - c))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    return leggauss(order)
+
+
+def grid_inverse_average(kvals, order=2048):
+    """Sphere average of 1/(n^T diag(kvals) n) on a Gauss-Legendre x azimuth grid.
+
+    Independent oracle for the closed form: Gauss-Legendre nodes in cos(theta)
+    with kvals[2] on the pole, a uniform azimuth of 2*order points.  Summed one
+    ring at a time to keep memory at O(order).  With the largest principal
+    value on the pole, order 2048 resolves condition numbers up to 1e4 to
+    about 1e-13 relative.
+    """
+    x, w = _gauss_legendre(order)
+    nphi = 2 * order
+    phi = np.arange(nphi) * (2 * math.pi / nphi)
+    cos2, sin2 = np.cos(phi) ** 2, np.sin(phi) ** 2
+    total = 0.0
+    for xi, wi in zip(x, w):
+        ring = (1.0 - xi**2) * (kvals[0] * cos2 + kvals[1] * sin2) + kvals[2] * xi**2
+        total += wi * float(np.sum(1.0 / ring))
+    return total / (2 * nphi)
 
 
 class TestFidelity:
@@ -228,6 +255,37 @@ class TestAverages:
         ref, _ = integrate.dblquad(integrand, 0, 2 * math.pi, 0, math.pi,
                                    epsabs=1e-12, epsrel=1e-12)
         assert got == pytest.approx(ref / (4 * math.pi), abs=1e-9)
+        assert got == pytest.approx(grid_inverse_average(kvals), rel=1e-9)
+
+        # seeded random PSD K, condition numbers up to 1e4, randomly rotated
+        for _ in range(20):
+            cond = 10.0 ** rng.uniform(0.0, 4.0)
+            kvals = rng.uniform(0.1, 10.0) * np.array([1.0, rng.uniform(1.0, cond), cond])
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            form = QfiQuadraticForm(SpinLabel(2), (q * kvals) @ q.T)
+            got = averaged_inverse_qfi_from_form(form)
+            assert got == pytest.approx(grid_inverse_average(kvals), rel=1e-9)
+
+        # singular K: the integrand is not integrable
+        assert averaged_inverse_qfi_from_form(
+            QfiQuadraticForm(SpinLabel(2), np.diag([0.0, 2.0, 5.0]))) == math.inf
+        # isotropic K = k I: exactly 1/k
+        for k in (0.37, 1.0, 8.0, 123.4):
+            form = QfiQuadraticForm(SpinLabel(2), k * np.eye(3))
+            assert averaged_inverse_qfi_from_form(form) == pytest.approx(1.0 / k, rel=1e-15)
+
+    def test_inverse_near_singular_against_axial_oracle(self):
+        # normalized |2,2> + 3e-3 |2,1>, K ~ diag(4.9e-10, 4, 4): finite, no error.
+        # The two large principal values differ by 1.1e-4, which the axial
+        # oracle ignores at second order (5.8e-9 relative at their geometric
+        # mean); K is bracketed between the axial forms of either value.
+        amp = np.array([1.0, 3e-3, 0.0, 0.0, 0.0], dtype=complex)
+        rho = PureState.from_unnormalized(SpinLabel(4), amp).density_matrix()
+        k1, k2, k3 = qfi_quadratic_form(rho).principal_values()
+        got = averaged_inverse_qfi(rho)
+        assert got == pytest.approx(3.027, abs=1e-3)
+        assert got == pytest.approx(axial_inverse_average(math.sqrt(k2 * k3), k1), rel=1e-8)
+        assert axial_inverse_average(k3, k1) <= got <= axial_inverse_average(k2, k1)
 
     def test_jensen_inequality(self, rng):
         for _ in range(25):

@@ -25,6 +25,17 @@ from rotosense.subspaces import (
 from conftest import random_pure
 
 
+def einsum_g_t(frame, t):
+    """G_t by the three-operand contraction: reference for the GEMM form."""
+    from rotosense.multipole import multipole_stack
+
+    ts = multipole_stack(frame.spin.two_j, 1, t)
+    m = frame.matrix()
+    blocks = np.einsum("kd,ade,le->akl", m, ts, m.conj())
+    iu = np.triu_indices(frame.k)
+    return float(np.sum(np.abs(blocks[:, iu[0], iu[1]]) ** 2))
+
+
 def random_frame(spin, k, rng):
     x = rng.normal(size=(spin.dimension, k)) + 1j * rng.normal(size=(spin.dimension, k))
     q, _ = np.linalg.qr(x)
@@ -82,6 +93,18 @@ class TestObjectives:
             for M in range(-L, L + 1):
                 assert objective_g_lm(frame, L, M) < 1e-24
                 assert objective_g_lm_trace(frame, L, M) < 1e-24
+
+    def test_gemm_objective_matches_einsum_oracle(self, rng):
+        def close(got, want):
+            # relative agreement, or both at the noise level of a zero
+            return abs(got - want) <= max(1e-12 * abs(want), 1e-28)
+
+        for two_j, k, t in ((1, 1, 1), (4, 2, 1), (5, 3, 2), (9, 4, 3), (12, 13, 2), (20, 7, 4), (80, 81, 1)):
+            frame = random_frame(SpinLabel(two_j), k, rng)
+            assert close(objective_g_t(frame, t), einsum_g_t(frame, t))
+        for name, entry in catalog().items():
+            assert close(objective_g_t(entry.frame, entry.order_t), einsum_g_t(entry.frame, entry.order_t)), name
+            assert verify_subspace(entry.frame, entry.order_t).verified, name
 
     def test_invariance_under_span_preserving_mixing(self, rng):
         # G_t depends only on the projector
