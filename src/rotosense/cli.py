@@ -64,7 +64,7 @@ def _load_state_or_exit(path: str, manifest: rio.RunManifest) -> DensityMatrix:
         rho = rio.load_state(path)
         manifest.add_input(path)
         return rho
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid state file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
 
@@ -111,7 +111,6 @@ def _cmd_certify(args) -> int:
         "tolerances": {
             "image_g1": verdict.tolerances.image_g1,
             "multipole": verdict.tolerances.multipole,
-            "isotropy": verdict.tolerances.isotropy,
         },
         "manifest": manifest.finish().to_dict(),
     })

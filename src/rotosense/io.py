@@ -92,7 +92,7 @@ def load_state(path: Union[str, Path]) -> DensityMatrix:
         raise ValueError(f"not valid JSON: {exc}") from exc
     if "two_j" not in data or "kind" not in data:
         raise ValueError("state file must carry 'two_j' and 'kind'")
-    spin = SpinLabel(int(data["two_j"]))
+    spin = SpinLabel(data["two_j"])
     kind = data["kind"]
     if kind == "pure":
         return PureState(spin, _from_pairs(data["amplitudes"])).density_matrix()
@@ -139,7 +139,7 @@ def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
-    spin = SpinLabel(int(data["two_j"]))
+    spin = SpinLabel(data["two_j"])
     frame = SubspaceFrame(spin, tuple(PureState(spin, _from_pairs(s)) for s in data["basis"]))
     if frame.k != int(data["k"]):
         raise ValueError(f"declared k={data['k']} but file holds {frame.k} states")

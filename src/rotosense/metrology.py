@@ -34,7 +34,6 @@ from .spin_core import (
     rotation_operator,
 )
 
-ISOTROPY_GAP_TOL = 1e-8
 JENSEN_SLACK = 1e-9
 
 

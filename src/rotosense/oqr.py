@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .subspaces import SubspaceFrame, objective_g_t, spin2_plane, spin3_one_ac_t
 class CertificationTolerances:
     image_g1: float = 1e-10
     multipole: float = 1e-8
-    isotropy: float = 1e-8
     rank: float = DEFAULT_RANK_TOL
 
 
@@ -57,21 +55,23 @@ class OqrVerdict:
                 )
 
 
-def certify(rho: DensityMatrix, tolerances: Optional[CertificationTolerances] = None) -> OqrVerdict:
+def certify(rho: DensityMatrix) -> OqrVerdict:
     """Grade a state against both rotosensor conditions.
 
     The image frame is extracted from the spectral decomposition and tested
     for 1-anticoherence via G_1; the state itself is tested for vanishing
-    L = 1, 2 multipole expectations; axis independence is read off the QFI
-    quadratic form.  All gates are recorded in the verdict.
+    L = 1, 2 multipole expectations.  Axis independence needs no gate of its
+    own: a 2-AC state has K_nn <= 4 <J_n^2> = 4 j(j+1)/3 on every axis, so at
+    the maximal averaged QFI Tr K / 3 = 4 j(j+1)/3 that the verdict requires,
+    K is isotropic; its isotropy gap is reported.  The fixed gates of
+    CertificationTolerances are recorded in the verdict.
     """
-    tol = tolerances or CertificationTolerances()
+    tol = CertificationTolerances()
     mixture = eigen_mixture(rho, tol.rank)
     frame = SubspaceFrame(rho.spin, mixture.states)
     g1 = objective_g_t(frame, 1) if rho.spin.two_j >= 1 else math.inf
     check2 = is_anticoherent(rho, 2, tol.multipole)
     form = qfi_quadratic_form(rho, tol.rank)
-    gap = form.isotropy_gap
     fidelity_grade = g1 <= tol.image_g1
     qcrb_grade = fidelity_grade and check2.holds
     qcrb_value = averaged_inverse_qfi_from_form(form)
@@ -81,7 +81,7 @@ def certify(rho: DensityMatrix, tolerances: Optional[CertificationTolerances] = 
         image_frame=frame,
         image_g1=float(g1),
         anticoherence_order2_violation=check2.max_violation,
-        isotropy_gap=gap,
+        isotropy_gap=form.isotropy_gap,
         averaged_qfi=form.averaged,
         qcrb=qcrb_value,
         tolerances=tol,

@@ -14,10 +14,8 @@ gradient descent over orthonormal k-frames with deterministic multi-start.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,6 +30,15 @@ from .spin_core import (
 
 SUCCESS_THRESHOLD = 1e-10
 ROTATION_EQUIVALENCE_TOL = 1e-8
+
+# the trace form over-counts off-diagonal pairs at most 2x, so this
+# internal gate implies the reported pairwise G_t meets the threshold
+DESCENT_GATE = SUCCESS_THRESHOLD / 2
+MAX_ITERATIONS = 5000
+INITIAL_STEP = 0.1
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +105,12 @@ class SearchConfig:
 
     seed: int
     restarts: int = 64
-    max_iterations: int = 5000
-    success_threshold: float = SUCCESS_THRESHOLD
-    initial_step: float = 0.1
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
+    # the per-restart cap, readable here for callers that tell capped restarts apart
+    max_iterations: ClassVar[int] = MAX_ITERATIONS
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.success_threshold <= 0:
-            raise ValueError("success_threshold must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +156,16 @@ def objective_g_t(frame: SubspaceFrame, t: int) -> float:
     return float(np.sum(np.abs(blocks[:, iu[0], iu[1]]) ** 2))
 
 
-def verify_subspace(frame: SubspaceFrame, t: int, tolerance: float = SUCCESS_THRESHOLD) -> SubspaceCertificate:
+def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
     """Certificate for the frame at order t, with a random-vector spot check.
 
-    Besides the frame objective, 20 deterministic pseudo-random unit-vector
-    pairs in the span are tested directly for vanishing T_LM matrix elements
-    (the all-pairs characterization of an anticoherent subspace).
+    The frame objective is gated on SUCCESS_THRESHOLD.  Besides it, 20
+    deterministic pseudo-random unit-vector pairs in the span are tested
+    directly for vanishing T_LM matrix elements (the all-pairs
+    characterization of an anticoherent subspace).
     """
     g = objective_g_t(frame, t)
-    verified = g <= tolerance
+    verified = g <= SUCCESS_THRESHOLD
     if verified and frame.k >= 1:
         ts = multipole_stack(frame.spin.two_j, 1, t)
         m = frame.matrix()
@@ -177,10 +179,10 @@ def verify_subspace(frame: SubspaceFrame, t: int, tolerance: float = SUCCESS_THR
             v2 /= np.linalg.norm(v2)
             worst = float(np.abs(np.einsum("d,ade,e->a", v1.conj(), ts, v2)).max())
             # spot-check tolerance scales with the frame gate (amplitudes vs squares)
-            if worst > 10 * math.sqrt(max(tolerance, 1e-300)):
+            if worst > 10 * math.sqrt(SUCCESS_THRESHOLD):
                 verified = False
                 break
-    return SubspaceCertificate(frame, t, g, tolerance, verified)
+    return SubspaceCertificate(frame, t, g, SUCCESS_THRESHOLD, verified)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +224,13 @@ class SearchResult:
         return self.certificate.verified
 
 
-def _descend(psi, ts, config, gate, max_iterations):
+def _descend(psi, ts, gate):
     """Barzilai-Borwein-scaled projected descent until the gate or a stall."""
     f, g = _trace_objective_and_gradient(psi, ts)
-    step = config.initial_step / max(1.0, float(np.linalg.norm(g)))
+    step = INITIAL_STEP / max(1.0, float(np.linalg.norm(g)))
     prev: Optional[Tuple[np.ndarray, np.ndarray]] = None
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if f <= gate:
             break
         gn2 = float(np.sum(np.abs(g) ** 2))
@@ -241,30 +243,19 @@ def _descend(psi, ts, config, gate, max_iterations):
             if denom > 1e-300:
                 step = float(np.sum(np.abs(dpsi) ** 2)) / denom
         moved = False
-        for _bt in range(config.max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             cand = _orthonormalize_rows(psi - step * g)
             fc, gc = _trace_objective_and_gradient(cand, ts)
-            if fc < f - config.armijo * step * gn2 or fc < f * (1 - 1e-12):
+            if fc < f - ARMIJO * step * gn2 or fc < f * (1 - 1e-12):
                 moved = True
                 break
-            step *= config.backtrack
+            step *= BACKTRACK
         iterations += 1
         if not moved:
             break
         prev = (psi, g)
         psi, f, g = cand, fc, gc
     return psi, f, iterations
-
-
-def _run_restart(index, child_seed, two_j, k, ts, config):
-    rng = np.random.default_rng(child_seed)
-    d = two_j + 1
-    psi = _orthonormalize_rows(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
-    # the trace form over-counts off-diagonal pairs at most 2x, so this
-    # internal gate implies the reported pairwise G_t meets the threshold
-    gate = config.success_threshold / 2
-    psi, f, iterations = _descend(psi, ts, config, gate, config.max_iterations)
-    return index, psi, f, iterations
 
 
 def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> SearchResult:
@@ -274,43 +265,30 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
     config.seed, descends with Barzilai-Borwein-scaled backtracking steps and
     QR re-orthonormalization, and stops at the success gate.  The best frame
     across restarts is certified; not reaching the gate is a valid negative
-    result, reported with the best objective found.  Restarts run in a
-    thread pool when ROTOSENSE_THREADS > 1; aggregation is order-independent
-    (minimum objective, lowest restart index on ties).
+    result, reported with the best objective found.  Restarts run in index
+    order; the best is the minimum objective, lowest restart index on ties.
     """
     if not 1 <= k <= spin.dimension:
         raise ValueError(f"k must be in 1..{spin.dimension}")
     if not 1 <= t <= spin.two_j:
         raise ValueError(f"t must be in 1..2j = {spin.two_j}")
     ts = multipole_stack(spin.two_j, 1, t)
-    children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    workers = int(os.environ.get("ROTOSENSE_THREADS", "1") or "1")
-    results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_restart, i, child, spin.two_j, k, ts, config)
-                for i, child in enumerate(children)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _run_restart(i, child, spin.two_j, k, ts, config)
-            for i, child in enumerate(children)
-        ]
-    results.sort(key=lambda r: (r[2], r[0]))
-    _, best_psi, best_f, _ = results[0]
-    records = tuple(
-        RestartRecord(i, float(f), int(it), bool(f <= config.success_threshold / 2))
-        for i, _psi, f, it in sorted(results, key=lambda r: r[0])
-    )
-    if best_f <= config.success_threshold / 2:
+    d = spin.dimension
+    records: List[RestartRecord] = []
+    best_psi, best_f = None, math.inf
+    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
+        rng = np.random.default_rng(child)
+        psi = _orthonormalize_rows(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
+        psi, f, iterations = _descend(psi, ts, DESCENT_GATE)
+        records.append(RestartRecord(i, float(f), int(iterations), bool(f <= DESCENT_GATE)))
+        if best_psi is None or f < best_f:
+            best_psi, best_f = psi, f
+    if best_f <= DESCENT_GATE:
         # a hit is already inside its basin; polishing to the machine floor
         # removes the O(sqrt(threshold)) frame noise left by the stop gate
-        best_psi, _, _ = _descend(best_psi, ts, config, 0.0, config.max_iterations)
+        best_psi, _, _ = _descend(best_psi, ts, 0.0)
     frame = SubspaceFrame.from_amplitudes(spin, _orthonormalize_rows(best_psi))
-    certificate = verify_subspace(frame, t, config.success_threshold)
-    return SearchResult(certificate, records, config)
+    return SearchResult(verify_subspace(frame, t), tuple(records), config)
 
 
 def upper_bound_kmax(spin: SpinLabel, t: int) -> int:

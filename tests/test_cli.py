@@ -114,7 +114,9 @@ class TestCertifyCommand:
     def test_spin3_family_exit_zero(self, state_files, capsys):
         code, out, _ = run(capsys, "certify", str(state_files["spin3"]))
         assert code == 0
-        assert json.loads(out)["is_oqr_qcrb"] is True
+        data = json.loads(out)
+        assert data["is_oqr_qcrb"] is True
+        assert set(data["tolerances"]) == {"image_g1", "multipole"}
 
     def test_ghz_exit_two(self, state_files, capsys):
         code, out, _ = run(capsys, "certify", str(state_files["ghz"]))
@@ -125,6 +127,20 @@ class TestCertifyCommand:
     def test_spin_half_exit_three(self, state_files, capsys):
         code, _, _ = run(capsys, "certify", str(state_files["qubit"]))
         assert code == 3
+
+    @pytest.mark.parametrize("payload", [
+        {"two_j": None, "kind": "pure", "amplitudes": [[1, 0]]},
+        {"two_j": 1, "kind": "mixed-eigen", "weights": [1.0], "states": None},
+        {"two_j": 1.7, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]},
+    ])
+    def test_malformed_state_file_exit_one(self, tmp_path, capsys, payload):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "certify", str(p))
+        assert code == 1
+        assert out == ""
+        assert "error: invalid state file" in err
+        assert "Traceback" not in err
 
     def test_near_singular_form_exit_three(self, state_files, capsys):
         # K ~ diag(4.9e-10, 4, 4): a verdict with a finite QCRB, not a traceback
