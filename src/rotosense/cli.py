@@ -4,7 +4,8 @@ Subcommands: qfi, certify, search, reproduce, catalog.  State and subspace
 files are UTF-8 JSON; figure data is emitted as CSV with deterministic
 formatting.  Certification exit codes: 0 = QCRB-grade rotosensor,
 2 = fidelity-grade only, 3 = neither; search: 0 = found, 4 = not found,
-5 = requested dimension exceeds the hard bound.
+5 = requested dimension exceeds the hard bound.  Every command exits 1 on
+invalid input or on a file it cannot read or write.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .metrology import averaged_inverse_qfi_from_form, qfi_quadratic_form
 from .oqr import certify, qcrb_floor, spin2_family, spin2_family_inverse_qfi, spin2_family_purity
 from .spin_core import DensityMatrix, SpinLabel
 from .subspaces import (
+    STOP_REASONS,
     SearchConfig,
     catalog,
     construct_one_ac_family,
@@ -151,6 +153,8 @@ def _cmd_search(args) -> int:
         "threshold": cert.tolerance,
         "restarts": args.restarts,
         "converged_restarts": sum(1 for r in result.records if r.converged),
+        "stop_reasons": {reason: sum(1 for r in result.records if r.stop_reason == reason)
+                         for reason in STOP_REASONS},
         "manifest": manifest.finish().to_dict(),
     })
     return EXIT_OK if cert.verified else EXIT_NOT_FOUND
@@ -345,7 +349,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -39,7 +39,8 @@ class SpinLabel:
     two_j: int
 
     def __post_init__(self):
-        if not isinstance(self.two_j, (int, np.integer)) or self.two_j < 0:
+        if (not isinstance(self.two_j, (int, np.integer)) or isinstance(self.two_j, bool)
+                or self.two_j < 0):
             raise ValueError(f"two_j must be a non-negative integer, got {self.two_j!r}")
         object.__setattr__(self, "two_j", int(self.two_j))
 
@@ -292,19 +293,29 @@ def component_along(spin: SpinLabel, axis) -> np.ndarray:
     return ax[0] * jx + ax[1] * jy + ax[2] * jz
 
 
+def _exp_from_eigh(lam: np.ndarray, vec: np.ndarray, angle: float) -> np.ndarray:
+    return (vec * np.exp(-1j * angle * lam)) @ vec.conj().T
+
+
 def rotation_operator(spin: SpinLabel, rotation: AxisAngle) -> np.ndarray:
     """exp(-i eta J.n) via eigendecomposition of the Hermitian generator."""
-    jn = component_along(spin, rotation.axis)
-    lam, vec = np.linalg.eigh(jn)
-    return (vec * np.exp(-1j * rotation.angle * lam)) @ vec.conj().T
+    lam, vec = np.linalg.eigh(component_along(spin, rotation.axis))
+    return _exp_from_eigh(lam, vec, rotation.angle)
+
+
+@lru_cache(maxsize=None)
+def _euler_eigh(two_j: int):
+    """Eigendecompositions of Jz and Jy, computed as `rotation_operator` computes them."""
+    spin = SpinLabel(two_j)
+    return tuple(tuple(_readonly(a) for a in np.linalg.eigh(component_along(spin, axis)))
+                 for axis in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])))
 
 
 def rotation_operator_euler(spin: SpinLabel, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Active z-y-z rotation R_z(alpha) R_y(beta) R_z(gamma)."""
-    ez = AxisAngle(np.array([0.0, 0.0, 1.0]), alpha)
-    ey = AxisAngle(np.array([0.0, 1.0, 0.0]), beta)
-    ez2 = AxisAngle(np.array([0.0, 0.0, 1.0]), gamma)
-    return rotation_operator(spin, ez) @ rotation_operator(spin, ey) @ rotation_operator(spin, ez2)
+    (lz, vz), (ly, vy) = _euler_eigh(spin.two_j)
+    return (_exp_from_eigh(lz, vz, float(alpha)) @ _exp_from_eigh(ly, vy, float(beta))
+            @ _exp_from_eigh(lz, vz, float(gamma)))
 
 
 # ---------------------------------------------------------------------------

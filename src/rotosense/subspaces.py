@@ -7,8 +7,11 @@ objective
 
     G_t = sum_{L=1..t} sum_M sum_{a <= b} |<psi_a| T_LM |psi_b>|^2
 
-is zero exactly on such frames, and its zeros are found by projected
-gradient descent over orthonormal k-frames with deterministic multi-start.
+is zero exactly on such frames.  Its zeros are found by deterministic
+multi-start descent over orthonormal k-frames in two phases: Barzilai-Borwein
+steps along the tangent gradient until the trace objective reaches LM_ENTRY,
+then damped Gauss-Newton (Levenberg-Marquardt) steps on the block residual,
+which converge where first-order steps crawl toward a zero.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ INITIAL_STEP = 0.1
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
+# phase 2 of the descent: Levenberg-Marquardt steps below this trace objective
+LM_ENTRY = 1e-6
+LM_INITIAL_DAMPING = 1e-3  # times f, the scale of the squared residual
+LM_DAMPING_GROWTH = 10.0
+LM_MAX_REJECTIONS = 8
+STOP_REASONS = ("gate", "stall", "iteration_cap", "backtrack_exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +214,41 @@ def _trace_objective_and_gradient(psi: np.ndarray, ts: np.ndarray):
     return value, grad
 
 
+def _tangent(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g - sym(g psi^dag) psi: the part of g tangent to the orthonormal k-frames."""
+    s = g @ psi.conj().T
+    return g - 0.5 * (s + s.conj().T) @ psi
+
+
+def _residual_and_jacobian(psi: np.ndarray, ts: np.ndarray):
+    """Real residual of the blocks psi T psi^dag and its Jacobian in (Re psi, Im psi).
+
+    The residual stacks the real and imaginary parts of every block entry, so
+    its squared norm is the trace objective.  Column (part, m, e) is the
+    derivative along a unit change of the real (part 0) or imaginary (part 1)
+    part of psi[m, e], for the 2kd real parameters of the frame.
+    """
+    k, d = psi.shape
+    blocks = psi @ ts @ psi.conj().T
+    # dB_a = dpsi (T_a psi^dag) + (psi T_a) dpsi^dag, entry by entry
+    p = np.swapaxes(ts @ psi.conj().T, 1, 2)[:, None, :, None, :]  # [a, -, j, -, e] = (T_a psi^dag)[e, j]
+    q = (psi @ ts)[:, :, None, None, :]                              # [a, i, -, -, e] = (psi T_a)[i, e]
+    eye = np.eye(k)
+    left = eye[None, :, None, :, None] * p    # delta_im (T_a psi^dag)[e, j]
+    right = eye[None, None, :, :, None] * q   # delta_jm (psi T_a)[i, e]
+    jac = np.stack([left + right, 1j * (left - right)], axis=3).reshape(-1, 2 * k * d)
+    residual = np.concatenate([blocks.real.ravel(), blocks.imag.ravel()])
+    return residual, np.concatenate([jac.real, jac.imag])
+
+
 @dataclass(frozen=True)
 class RestartRecord:
     index: int
     objective: float
     iterations: int
     converged: bool
+    stop_reason: str  # one of STOP_REASONS
+    evaluations: int  # objective evaluations, trial steps included
 
 
 @dataclass(frozen=True)
@@ -225,17 +263,65 @@ class SearchResult:
 
 
 def _descend(psi, ts, gate):
-    """Barzilai-Borwein-scaled projected descent until the gate or a stall."""
+    """Two-phase descent of the trace objective f until the gate, a stall or the cap.
+
+    Phase 1 takes Barzilai-Borwein-scaled, Armijo-backtracked steps along the
+    tangent gradient, each followed by the QR retraction.  Once f <= LM_ENTRY,
+    phase 2 takes Levenberg-Marquardt steps on the block residual: a step is
+    accepted only if it lowers f, and each rejection multiplies the damping by
+    LM_DAMPING_GROWTH.  When LM_MAX_REJECTIONS trial steps in a row fail to
+    lower f, LM has stalled and phase 1 finishes the restart.  One LM
+    iteration is one Jacobian with its trial steps, as one phase-1 iteration
+    is one gradient with its backtracks; both count toward MAX_ITERATIONS.
+    Returns (psi, f, iterations, stop_reason, evaluations).  The stop reason
+    is "gate", "stall" (the tangent gradient vanished), "iteration_cap" or
+    "backtrack_exhausted" (no phase-1 step lowered f in MAX_BACKTRACKS tries).
+    """
     f, g = _trace_objective_and_gradient(psi, ts)
+    g = _tangent(psi, g)
+    evaluations = 1
     step = INITIAL_STEP / max(1.0, float(np.linalg.norm(g)))
     prev: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    damping = LM_INITIAL_DAMPING
+    second_order = True
     iterations = 0
-    for _ in range(MAX_ITERATIONS):
+    reason = "iteration_cap"
+    while iterations < MAX_ITERATIONS:
         if f <= gate:
             break
+        if second_order and f <= LM_ENTRY:
+            iterations += 1
+            residual, jac = _residual_and_jacobian(psi, ts)
+            normal = jac.T @ jac
+            rhs = -(jac.T @ residual)
+            diag = np.diag_indices_from(normal)
+            fc = math.inf
+            for _reject in range(LM_MAX_REJECTIONS):
+                system = normal.copy()
+                system[diag] += damping * f
+                try:
+                    x = np.linalg.solve(system, rhs).reshape(2, *psi.shape)
+                except np.linalg.LinAlgError:  # damping * f too small to lift the null space
+                    damping *= LM_DAMPING_GROWTH
+                    continue
+                cand = _orthonormalize_rows(psi + x[0] + 1j * x[1])
+                fc, gc = _trace_objective_and_gradient(cand, ts)
+                evaluations += 1
+                if fc < f:
+                    break
+                damping *= LM_DAMPING_GROWTH
+            if fc < f:
+                damping /= LM_DAMPING_GROWTH
+                prev = None
+                psi, f, g = cand, fc, _tangent(cand, gc)
+            else:
+                second_order = False
+            continue
         gn2 = float(np.sum(np.abs(g) ** 2))
         if gn2 < 1e-60:
+            reason = "stall"
             break
+        iterations += 1
         if prev is not None:
             dpsi = psi - prev[0]
             dg = g - prev[1]
@@ -246,24 +332,29 @@ def _descend(psi, ts, gate):
         for _bt in range(MAX_BACKTRACKS):
             cand = _orthonormalize_rows(psi - step * g)
             fc, gc = _trace_objective_and_gradient(cand, ts)
+            evaluations += 1
             if fc < f - ARMIJO * step * gn2 or fc < f * (1 - 1e-12):
                 moved = True
                 break
             step *= BACKTRACK
-        iterations += 1
         if not moved:
+            reason = "backtrack_exhausted"
             break
         prev = (psi, g)
-        psi, f, g = cand, fc, gc
-    return psi, f, iterations
+        psi, f, g = cand, fc, _tangent(cand, gc)
+    if f <= gate:
+        reason = "gate"
+    return psi, f, iterations, reason, evaluations
 
 
 def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> SearchResult:
     """Minimize G_t over orthonormal k-frames with seeded multi-start descent.
 
     Each restart draws an independent frame from a child seed of
-    config.seed, descends with Barzilai-Borwein-scaled backtracking steps and
-    QR re-orthonormalization, and stops at the success gate.  The best frame
+    config.seed and runs the two-phase `_descend` to the success gate: tangent
+    Barzilai-Borwein steps, then Levenberg-Marquardt steps once the trace
+    objective is below LM_ENTRY, each retracted by QR.  Its record keeps why
+    it stopped and how many objective evaluations it made.  The best frame
     across restarts is certified; not reaching the gate is a valid negative
     result, reported with the best objective found.  Restarts run in index
     order; the best is the minimum objective, lowest restart index on ties.
@@ -279,14 +370,14 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
     for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
         rng = np.random.default_rng(child)
         psi = _orthonormalize_rows(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
-        psi, f, iterations = _descend(psi, ts, DESCENT_GATE)
-        records.append(RestartRecord(i, float(f), int(iterations), bool(f <= DESCENT_GATE)))
+        psi, f, iterations, reason, evaluations = _descend(psi, ts, DESCENT_GATE)
+        records.append(RestartRecord(i, float(f), int(iterations), bool(f <= DESCENT_GATE), reason, evaluations))
         if best_psi is None or f < best_f:
             best_psi, best_f = psi, f
     if best_f <= DESCENT_GATE:
         # a hit is already inside its basin; polishing to the machine floor
         # removes the O(sqrt(threshold)) frame noise left by the stop gate
-        best_psi, _, _ = _descend(best_psi, ts, 0.0)
+        best_psi = _descend(best_psi, ts, 0.0)[0]
     frame = SubspaceFrame.from_amplitudes(spin, _orthonormalize_rows(best_psi))
     return SearchResult(verify_subspace(frame, t), tuple(records), config)
 

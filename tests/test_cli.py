@@ -142,6 +142,17 @@ class TestCertifyCommand:
         assert "error: invalid state file" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["certify", "qfi"])
+    def test_boolean_spin_exit_one(self, tmp_path, capsys, command):
+        # true is not the integer 1: a JSON boolean is no spin label
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps({"two_j": True, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]}))
+        code, out, err = run(capsys, command, str(p))
+        assert code == 1
+        assert out == ""
+        assert "error: invalid state file" in err
+        assert "Traceback" not in err
+
     def test_near_singular_form_exit_three(self, state_files, capsys):
         # K ~ diag(4.9e-10, 4, 4): a verdict with a finite QCRB, not a traceback
         code, out, err = run(capsys, "certify", str(state_files["near_singular"]))
@@ -158,6 +169,8 @@ class TestSearchCommand:
         assert code == 0
         data = json.loads(out)
         assert data["found"] is True
+        assert sum(data["stop_reasons"].values()) == 8
+        assert data["stop_reasons"]["gate"] == data["converged_restarts"]
         content = rio.load_subspace(out_file)
         cert = verify_subspace(content.frame, content.t)
         assert cert.verified
@@ -194,6 +207,12 @@ class TestCatalogCommand:
         content = rio.load_subspace(out_file)
         assert content.t == 2
         assert verify_subspace(content.frame, 2).verified
+
+    def test_unwritable_out_exit_one(self, capsys):
+        code, out, err = run(capsys, "catalog", "--get", "(2,2,1)", "--out", "/nonexistent/dir/x.json")
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_unknown_name_exit_one(self, capsys):
         code, _, err = run(capsys, "catalog", "--get", "nope")

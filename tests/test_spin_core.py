@@ -35,6 +35,9 @@ class TestSpinLabel:
             SpinLabel(-1)
         with pytest.raises(ValueError):
             SpinLabel.from_j(0.3)
+        for flag in (True, False):
+            with pytest.raises(ValueError):
+                SpinLabel(flag)
 
 
 class TestDataModel:
@@ -121,6 +124,18 @@ class TestRotations:
 
     def test_euler_identity(self):
         assert np.allclose(rotation_operator_euler(SpinLabel(3), 0, 0, 0), np.eye(4))
+
+    def test_euler_matches_uncached_product_bitwise(self, rng):
+        # the cached Jz and Jy eigenbases give the same bits as three fresh rotations
+        ey = np.array([0.0, 1.0, 0.0])
+        for two_j in range(0, 21):
+            s = SpinLabel(two_j)
+            for alpha, beta, gamma in rng.uniform(-7.0, 7.0, size=(5, 3)):
+                want = (rotation_operator(s, AxisAngle(EZ, alpha))
+                        @ rotation_operator(s, AxisAngle(ey, beta))
+                        @ rotation_operator(s, AxisAngle(EZ, gamma)))
+                got = rotation_operator_euler(s, alpha, beta, gamma)
+                assert got.tobytes() == want.tobytes(), (two_j, alpha, beta, gamma)
 
     def test_euler_spin1_regression(self):
         # active z-y-z convention fixed by the known spin-1 image of |1,0>

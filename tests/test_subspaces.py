@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from rotosense.spin_core import PureState, SpinLabel, rotation_operator_euler
+from rotosense import subspaces
+from rotosense.multipole import multipole_stack
 from rotosense.subspaces import (
+    LM_ENTRY,
+    MAX_ITERATIONS,
+    STOP_REASONS,
     SUCCESS_THRESHOLD,
     SearchConfig,
     SubspaceFrame,
@@ -175,6 +180,9 @@ class TestSearch:
         assert [r.index for r in long.records] == list(range(8))
         for r in long.records:
             assert r.converged == (r.objective <= SUCCESS_THRESHOLD / 2)
+            assert r.converged == (r.stop_reason == "gate")
+            assert r.stop_reason in STOP_REASONS
+            assert r.evaluations > r.iterations
         assert short.certificate.tolerance == long.certificate.tolerance == SUCCESS_THRESHOLD
 
     def test_input_gates(self):
@@ -182,6 +190,73 @@ class TestSearch:
             search_subspace(SpinLabel(4), 9, 1, SearchConfig(seed=1))
         with pytest.raises(ValueError):
             SearchConfig(seed=1, restarts=0)
+
+
+def seeded_frame(two_j, k, seed, index):
+    """Restart `index` of a search at `seed`: its start frame, drawn as the search draws it."""
+    child = np.random.SeedSequence(seed).spawn(index + 1)[index]
+    rng = np.random.default_rng(child)
+    d = two_j + 1
+    return subspaces._orthonormalize_rows(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
+
+
+class TestDescentEngine:
+    @pytest.mark.parametrize("two_j, k, t", [(10, 2, 2), (9, 4, 1)])
+    def test_jacobian_matches_finite_differences(self, rng, two_j, k, t):
+        ts = multipole_stack(two_j, 1, t)
+        psi = random_frame(SpinLabel(two_j), k, rng).matrix()
+        residual, jac = subspaces._residual_and_jacobian(psi, ts)
+        assert jac.shape == (residual.size, 2 * k * (two_j + 1))
+        assert float(residual @ residual) == pytest.approx(
+            subspaces._trace_objective_and_gradient(psi, ts)[0], rel=1e-12)
+        h = 1e-6
+        for _ in range(6):
+            x = rng.normal(size=jac.shape[1])
+            delta = (x[: x.size // 2] + 1j * x[x.size // 2:]).reshape(psi.shape)
+            plus = subspaces._residual_and_jacobian(psi + h * delta, ts)[0]
+            minus = subspaces._residual_and_jacobian(psi - h * delta, ts)[0]
+            # central differences of a quadratic map are exact up to rounding
+            assert np.abs((plus - minus) / (2 * h) - jac @ x).max() < 1e-8
+
+    def test_tangent_projection(self, rng):
+        psi = random_frame(SpinLabel(9), 3, rng).matrix()
+        g = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
+        xi = subspaces._tangent(psi, g)
+        s = xi @ psi.conj().T
+        assert np.abs(s + s.conj().T).max() < 1e-13
+        assert np.abs(subspaces._tangent(psi, xi) - xi).max() < 1e-13
+
+    def test_crawl_cell_converges(self):
+        # (5,2,2) at this seed: first-order descent left 5 of 16 restarts
+        # at the iteration cap, still creeping toward zero
+        result = search_subspace(SpinLabel(10), 2, 2, SearchConfig(seed=20240004, restarts=16))
+        assert result.found
+        assert all(r.converged for r in result.records)
+        assert not any(r.iterations >= MAX_ITERATIONS for r in result.records)
+
+    def test_lm_step_that_raises_objective_is_rejected(self, monkeypatch):
+        ts = multipole_stack(10, 1, 2)
+        # restart 1 of the crawl cell, descended by phase 1 to the LM entry
+        psi, f0, _, _, _ = subspaces._descend(seeded_frame(10, 2, 20240004, 1), ts, LM_ENTRY)
+        assert f0 <= LM_ENTRY
+        trials = []
+        evaluate = subspaces._trace_objective_and_gradient
+
+        def recording(p, t):
+            value, grad = evaluate(p, t)
+            trials.append(value)
+            return value, grad
+
+        monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
+        monkeypatch.setattr(subspaces, "MAX_ITERATIONS", 1)
+        _, f1, iterations, reason, evaluations = subspaces._descend(psi, ts, 0.0)
+        assert (iterations, reason) == (1, "iteration_cap")
+        lm_trials = trials[1:]  # trials[0] evaluates the start frame
+        assert evaluations == len(trials)
+        # the lightly damped step overshoots; more damping finds a decrease
+        assert lm_trials[0] > f0
+        assert all(v >= f0 for v in lm_trials[:-1])
+        assert f1 == lm_trials[-1] < f0
 
 
 class TestBounds:
