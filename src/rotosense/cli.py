@@ -5,7 +5,7 @@ files are UTF-8 JSON; figure data is emitted as CSV with deterministic
 formatting.  Certification exit codes: 0 = QCRB-grade rotosensor,
 2 = fidelity-grade only, 3 = neither; search: 0 = found, 4 = not found,
 5 = requested dimension exceeds the hard bound.  Every command exits 1 on
-invalid input or on a file it cannot read or write.
+invalid input, on a usage error, or on a file it cannot read or write.
 """
 
 from __future__ import annotations
@@ -298,8 +298,16 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, since exit 2 is a certification verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rotosense",
         description="Rotation metrology with mixed spin states",
     )
@@ -344,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_ERROR

@@ -10,12 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
+import scipy
 
 from .spin_core import DensityMatrix, PureState, SpinLabel
 from .subspaces import SubspaceFrame
@@ -150,6 +153,20 @@ def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
 # Run manifests
 # ---------------------------------------------------------------------------
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> Dict:
+    """Interpreter, numpy and scipy versions, core count and the BLAS thread variables that are set."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ[name] for name in _BLAS_THREAD_VARIABLES if name in os.environ},
+    }
+
+
 def _sha256(path: Union[str, Path]) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
@@ -181,6 +198,7 @@ class RunManifest:
             "tool_version": self.tool_version,
             "wall_time_s": self.wall_time_s,
             "input_hashes": self.input_hashes,
+            "environment": _environment(),
         }
 
     def write_sidecar(self, artifact_path: Union[str, Path]) -> Path:

@@ -92,6 +92,8 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has shape {amp.shape}, expected ({self.spin.dimension},)"
             )
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes not finite: the vector holds NaN or infinite entries")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -135,6 +137,8 @@ class DensityMatrix:
         d = self.spin.dimension
         if m.shape != (d, d):
             raise ValueError(f"matrix has shape {m.shape}, expected ({d}, {d})")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix not finite: it holds NaN or infinite entries")
         herm = float(np.abs(m - m.conj().T).max())
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {herm:.3e}")
@@ -322,18 +326,17 @@ def rotation_operator_euler(spin: SpinLabel, alpha: float, beta: float, gamma: f
 # Clebsch-Gordan coefficients
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    return math.factorial(n)
-
-
-@lru_cache(maxsize=1 << 20)
 def clebsch_gordan_2(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
     """<j1 m1; j2 m2 | j m> with all quantum numbers doubled to integers.
 
-    Condon-Shortley phases, evaluated from the exact factorial (Racah) sum in
-    rational arithmetic before the final square root.  Selection-rule
-    violations return 0.
+    Condon-Shortley phases, evaluated from the Racah sum in exact integer
+    arithmetic.  Every term of the sum is an integer once it is multiplied by
+    the common denominator P = zmax! (a-zmin)! (b-zmin)! (c-zmin)! (d+zmax)!
+    (e+zmax)!, and consecutive terms differ by a ratio of small integers, so
+    the sum S is one integer.  The square prefactor * S^2 / P^2 is then a
+    single integer ratio, which true division rounds correctly, as the float
+    of the reduced fraction would be; the result is that ratio's square root
+    with the sign of S.  Selection-rule violations return 0.
     """
     if tm1 + tm2 != tm:
         return 0.0
@@ -344,31 +347,31 @@ def clebsch_gordan_2(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -
     if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
         return 0.0
 
-    def f(tx: int) -> int:  # factorial of tx/2; tx is even and >= 0 here
-        return _fact(tx // 2)
-
-    prefactor = Fraction(
-        (tj + 1) * f(tj1 + tj2 - tj) * f(tj1 - tj2 + tj) * f(-tj1 + tj2 + tj),
-        f(tj1 + tj2 + tj + 2),
-    ) * (
-        f(tj1 + tm1) * f(tj1 - tm1) * f(tj2 + tm2) * f(tj2 - tm2) * f(tj + tm) * f(tj - tm)
-    )
-    zmin = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
-    zmax = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
+    f = math.factorial
+    # the summand of z is (-1)^z / (z! (a-z)! (b-z)! (c-z)! (d+z)! (e+z)!)
+    a = (tj1 + tj2 - tj) // 2
+    b = (tj1 - tm1) // 2
+    c = (tj2 + tm2) // 2
+    d = (tj - tj2 + tm1) // 2
+    e = (tj - tj1 - tm2) // 2
+    zmin = max(0, -d, -e)
+    zmax = min(a, b, c)
+    span = zmax - zmin
+    # term = P |summand of z|, an integer; at zmin, zmax!/zmin! (d+zmax)!/(d+zmin)! (e+zmax)!/(e+zmin)!
+    term = math.perm(zmax, span) * math.perm(d + zmax, span) * math.perm(e + zmax, span)
+    total = 0
     for z in range(zmin, zmax + 1):
-        denom = (
-            _fact(z)
-            * f(tj1 + tj2 - tj - 2 * z)
-            * f(tj1 - tm1 - 2 * z)
-            * f(tj2 + tm2 - 2 * z)
-            * f(tj - tj2 + tm1 + 2 * z)
-            * f(tj - tj1 - tm2 + 2 * z)
-        )
-        total += Fraction((-1) ** z, denom)
+        total += -term if z % 2 else term
+        term = term * (a - z) * (b - z) * (c - z) // ((z + 1) * (d + z + 1) * (e + z + 1))
     if total == 0:
         return 0.0
-    magnitude = math.sqrt(prefactor * total * total)
+    common = f(zmax) * f(a - zmin) * f(b - zmin) * f(c - zmin) * f(d + zmax) * f(e + zmax)
+    prefactor = (
+        (tj + 1) * f(a) * f((tj1 - tj2 + tj) // 2) * f((tj2 - tj1 + tj) // 2)
+        * f(b) * f((tj1 + tm1) // 2) * f(c) * f((tj2 - tm2) // 2)
+        * f((tj + tm) // 2) * f((tj - tm) // 2)
+    )
+    magnitude = math.sqrt(prefactor * total * total / (f((tj1 + tj2 + tj) // 2 + 1) * common * common))
     return magnitude if total > 0 else -magnitude
 
 

@@ -84,6 +84,10 @@ class TestQfiCommand:
         data = json.loads(out)
         assert data["averaged_inverse_qfi"] == pytest.approx(0.125, abs=1e-9)
         assert data["manifest"]["command"] == "qfi"
+        env = data["manifest"]["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads"}
+        assert env["numpy"] == np.__version__
+        assert set(env["blas_threads"]) <= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
     def test_axis_qfi_of_coherent_state_along_z(self, state_files, capsys):
         code, out, _ = run(capsys, "qfi", str(state_files["coherent"]), "--axis", "0,0,1")
@@ -153,6 +157,21 @@ class TestCertifyCommand:
         assert "error: invalid state file" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["certify", "qfi"])
+    @pytest.mark.parametrize("payload", [
+        {"two_j": 1, "kind": "pure", "amplitudes": [[float("nan"), 0], [0, 0]]},
+        {"two_j": 1, "kind": "mixed-matrix",
+         "matrix": [[[0.5, 0], [float("inf"), 0]], [[float("inf"), 0], [0.5, 0]]]},
+    ])
+    def test_non_finite_entries_exit_one(self, tmp_path, capsys, command, payload):
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(payload))  # json writes NaN and Infinity literals
+        code, out, err = run(capsys, command, str(p))
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
+        assert "Traceback" not in err
+
     def test_near_singular_form_exit_three(self, state_files, capsys):
         # K ~ diag(4.9e-10, 4, 4): a verdict with a finite QCRB, not a traceback
         code, out, err = run(capsys, "certify", str(state_files["near_singular"]))
@@ -190,6 +209,26 @@ class TestSearchCommand:
         code2, _, err2 = run(capsys, "search", "--j", "1.5", "--k", "2", "--t", "1", "--seed", "1")
         assert code2 == 5
         assert "bound" in err2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["certify"],
+        ["search", "--j", "0.3", "--k", "1", "--t", "1", "--seed", "1"],
+    ])
+    def test_usage_error_exit_one(self, capsys, argv):
+        # exit 2 is the fidelity-grade verdict of certify, so a usage error may not use it
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: rotosense")
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_help_exit_zero(self, capsys):
+        code, out, _ = run(capsys, "certify", "--help")
+        assert code == 0
+        assert out.startswith("usage: rotosense certify")
 
 
 class TestCatalogCommand:
@@ -231,7 +270,9 @@ class TestReproduceCommand:
         # the plateau makes every xi >= 1/2 row carry 1/8 exactly
         near_075 = min(rows, key=lambda r: abs(float(r[0]) - 0.75))
         assert float(near_075[2]) == pytest.approx(0.125, abs=1e-9)
-        assert (tmp_path / "fig1.csv.manifest.json").exists()
+        sidecar = json.loads((tmp_path / "fig1.csv.manifest.json").read_text())
+        assert sidecar["command"] == "reproduce --target fig1"
+        assert {"python", "numpy", "scipy", "cpu_count", "blas_threads"} <= set(sidecar["environment"])
 
     def test_fig1_determinism(self, tmp_path, capsys):
         a_dir = tmp_path / "a"; b_dir = tmp_path / "b"

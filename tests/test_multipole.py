@@ -18,14 +18,38 @@ from rotosense.spin_core import (
     angular_momentum_operators,
     ladder_operators,
 )
-from conftest import random_density
+from conftest import fraction_clebsch_gordan_2, random_density
 
 
 def all_indices(two_j):
     return [MultipoleIndex(L, M) for L in range(two_j + 1) for M in range(-L, L + 1)]
 
 
+def dense_t_lm(two_j, L, M):
+    """Reference T_LM: every one of the d^2 entries from the Fraction Racah sum."""
+    d = two_j + 1
+    out = np.zeros((d, d), dtype=complex)
+    pref = np.sqrt((2 * L + 1) / d)
+    for a in range(d):          # row: m'
+        tmp = two_j - 2 * a
+        for b in range(d):      # column: m
+            tmm = two_j - 2 * b
+            out[a, b] = pref * fraction_clebsch_gordan_2(two_j, tmm, 2 * L, 2 * M, two_j, tmp)
+    return out
+
+
 class TestOperators:
+    @pytest.mark.parametrize("two_j", list(range(0, 21)))
+    def test_stored_diagonals_match_dense_fraction_build(self, two_j):
+        # the same bytes, signed zeros included, from the operator and from the stack
+        s = SpinLabel(two_j)
+        stack = multipole_stack(two_j, 0, two_j)
+        for k, idx in enumerate(all_indices(two_j)):
+            want = dense_t_lm(two_j, idx.L, idx.M).tobytes()
+            assert multipole_operator(s, idx).tobytes() == want, idx
+            assert stack[k].tobytes() == want, idx
+
+
     def test_t00_is_scaled_identity(self):
         for two_j in (1, 4, 9):
             t = multipole_operator(SpinLabel(two_j), MultipoleIndex(0, 0))

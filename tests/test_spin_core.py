@@ -13,10 +13,11 @@ from rotosense.spin_core import (
     clebsch_gordan_2,
     component_along,
     eigen_mixture,
+    embedding_isometry,
     rotation_operator,
     rotation_operator_euler,
 )
-from conftest import random_axis, random_density, random_pure
+from conftest import fraction_clebsch_gordan_2, random_axis, random_density, random_pure
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -44,6 +45,17 @@ class TestDataModel:
     def test_pure_state_norm_gate(self):
         with pytest.raises(ValueError, match="not normalized"):
             PureState(SpinLabel(2), np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        amp = np.array([1.0, 0.0, 0.0], dtype=complex)
+        amp[1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            PureState(SpinLabel(2), amp)
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            DensityMatrix(SpinLabel(1), m)
 
     def test_density_matrix_gates(self):
         s = SpinLabel(1)
@@ -232,6 +244,70 @@ class TestClebschGordan:
         ])
         assert u.shape[0] == u.shape[1]
         assert np.abs(u.T @ u - np.eye(len(coupled))).max() < 1e-12
+
+
+def _random_cg_arguments(rng, count: int, max_two_j: int):
+    """Doubled CG arguments with 2j <= max_two_j; about half of them break a selection rule."""
+    out = []
+    for _ in range(count):
+        tj1, tj2 = (int(x) for x in rng.integers(0, max_two_j + 1, size=2))
+        tj = int(rng.choice(np.arange(abs(tj1 - tj2), min(tj1 + tj2, max_two_j) + 1, 2)))
+        tm1 = int(rng.choice(np.arange(-tj1, tj1 + 1, 2)))
+        tm2 = int(rng.choice(np.arange(-tj2, tj2 + 1, 2)))
+        tm = tm1 + tm2
+        broken = rng.integers(0, 8)
+        if broken == 1:    # m mismatch
+            tm += 2
+        elif broken == 2:  # any j, triangle and parity unchecked
+            tj = int(rng.integers(0, max_two_j + 1))
+        elif broken == 3:  # wrong parity of m1
+            tm1 += 1
+        out.append((tj1, tm1, tj2, tm2, tj, tm))
+    return out
+
+
+def _selection_rules_hold(tj1, tm1, tj2, tm2, tj, tm) -> bool:
+    return (tm1 + tm2 == tm and abs(tj1 - tj2) <= tj <= tj1 + tj2 and (tj1 + tj2 + tj) % 2 == 0
+            and abs(tm1) <= tj1 and abs(tm2) <= tj2 and abs(tm) <= tj
+            and (tj1 + tm1) % 2 == 0 and (tj2 + tm2) % 2 == 0 and (tj + tm) % 2 == 0)
+
+
+class TestIntegerRacahSum:
+    """The integer Racah sum against the Fraction one it replaced: equal bytes, signed zeros included."""
+
+    def test_random_arguments_match_fraction_sum(self):
+        rng = np.random.default_rng(20241018)
+        zeros = {"selection": 0, "accidental": 0}
+        for args in _random_cg_arguments(rng, 20000, 60):
+            want = fraction_clebsch_gordan_2(*args)
+            got = clebsch_gordan_2(*args)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), args
+            if want == 0.0:
+                zeros["accidental" if _selection_rules_hold(*args) else "selection"] += 1
+        # both kinds of zero occur in the sample
+        assert zeros["selection"] > 5000 and zeros["accidental"] > 10
+
+    @pytest.mark.parametrize("args", [
+        (2, 0, 2, 0, 2, 0),      # <1 0; 1 0 | 1 0>
+        (6, 0, 4, 0, 4, 0),      # <3 0; 2 0 | 2 0>, j1 + j2 + j odd
+        (3, 1, 3, 1, 4, 2),      # <3/2 1/2; 3/2 1/2 | 2 1>
+        (4, -2, 3, 1, 3, -1),    # <2 -1; 3/2 1/2 | 3/2 -1/2>
+    ])
+    def test_accidental_zeros_are_positive_zero(self, args):
+        assert fraction_clebsch_gordan_2(*args) == 0.0
+        assert np.float64(clebsch_gordan_2(*args)).tobytes() == np.float64(0.0).tobytes()
+
+    @pytest.mark.parametrize("two_j", list(range(2, 21)))
+    def test_embedding_isometry_matches_fraction_sum(self, two_j):
+        for t in range(1, two_j):
+            ta, tb = t, two_j - t
+            want = np.zeros(((ta + 1) * (tb + 1), two_j + 1))
+            for ia in range(ta + 1):
+                for ib in range(tb + 1):
+                    tm = ta - 2 * ia + tb - 2 * ib
+                    want[ia * (tb + 1) + ib, (two_j - tm) // 2] = fraction_clebsch_gordan_2(
+                        ta, ta - 2 * ia, tb, tb - 2 * ib, two_j, tm)
+            assert embedding_isometry(two_j, t).tobytes() == want.tobytes()
 
 
 class TestEigenMixture:
