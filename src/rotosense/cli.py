@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,7 @@ def _cmd_search(args) -> int:
         "converged_restarts": sum(1 for r in result.records if r.converged),
         "stop_reasons": {reason: sum(1 for r in result.records if r.stop_reason == reason)
                          for reason in STOP_REASONS},
+        "best_miss_objective": min((r.objective for r in result.records if not r.converged), default=None),
         "manifest": manifest.finish().to_dict(),
     })
     return EXIT_OK if cert.verified else EXIT_NOT_FOUND
@@ -224,8 +227,11 @@ def _reproduce_kmax(outdir: Path, manifest: rio.RunManifest, seed: int, restarts
             if bound < 1:
                 rows.append([str(spin), t, 0, bound])
                 continue
+            start = time.perf_counter()
             scan = kmax_scan(spin, t, SearchConfig(seed=seed, restarts=restarts))
             rows.append([str(spin), t, scan.k_max, bound])
+            print(f"kmax: j={spin} t={t} k_max={scan.k_max} bound={bound} "
+                  f"({time.perf_counter() - start:.2f} s)", file=sys.stderr)
     path = outdir / "kmax.csv"
     rio.write_csv(path, ["j", "t", "k_found", "bound"], rows)
     manifest.write_sidecar(path)
@@ -351,9 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_ERROR

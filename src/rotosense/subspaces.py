@@ -11,7 +11,9 @@ is zero exactly on such frames.  Its zeros are found by deterministic
 multi-start descent over orthonormal k-frames in two phases: Barzilai-Borwein
 steps along the tangent gradient until the trace objective reaches LM_ENTRY,
 then damped Gauss-Newton (Levenberg-Marquardt) steps on the block residual,
-which converge where first-order steps crawl toward a zero.
+which converge where first-order steps crawl toward a zero.  All restarts of
+a search advance together in lockstep rounds through stacked kernels, each
+exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -199,25 +201,26 @@ def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
 # ---------------------------------------------------------------------------
 
 def _orthonormalize_rows(psi: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(psi.conj().T)
-    phases = np.sign(np.diag(r).real + 1e-300)
-    return (q * phases).conj().T
+    """QR retraction of the rows of a frame, or of each frame in a (..., k, d) stack."""
+    q, r = np.linalg.qr(psi.conj().swapaxes(-1, -2))
+    phases = np.sign(np.diagonal(r, axis1=-2, axis2=-1).real + 1e-300)
+    return (q * phases[..., None, :]).conj().swapaxes(-1, -2)
 
 
 def _trace_objective_and_gradient(psi: np.ndarray, ts: np.ndarray):
-    """sum_ops ||psi T psi^dag||_F^2 and its conjugate-Wirtinger gradient."""
-    pt = np.einsum("kd,ade->ake", psi, ts)
-    b = np.einsum("ake,le->akl", pt, psi.conj())
-    value = float(np.sum(np.abs(b) ** 2))
-    ptd = np.einsum("kd,aed->ake", psi, ts.conj())
-    grad = np.einsum("alk,ald->kd", b.conj(), pt) + np.einsum("akl,ald->kd", b, ptd)
+    """sum_ops ||psi T psi^dag||_F^2 and its conjugate-Wirtinger gradient, per frame of a stack."""
+    pt = np.einsum("...kd,ade->...ake", psi, ts)
+    b = np.einsum("...ake,...le->...akl", pt, psi.conj())
+    value = np.sum(np.abs(b) ** 2, axis=(-3, -2, -1))
+    ptd = np.einsum("...kd,aed->...ake", psi, ts.conj())
+    grad = np.einsum("...alk,...ald->...kd", b.conj(), pt) + np.einsum("...akl,...ald->...kd", b, ptd)
     return value, grad
 
 
 def _tangent(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g - sym(g psi^dag) psi: the part of g tangent to the orthonormal k-frames."""
-    s = g @ psi.conj().T
-    return g - 0.5 * (s + s.conj().T) @ psi
+    s = g @ psi.conj().swapaxes(-1, -2)
+    return g - 0.5 * (s + s.conj().swapaxes(-1, -2)) @ psi
 
 
 def _residual_and_jacobian(psi: np.ndarray, ts: np.ndarray):
@@ -226,19 +229,22 @@ def _residual_and_jacobian(psi: np.ndarray, ts: np.ndarray):
     The residual stacks the real and imaginary parts of every block entry, so
     its squared norm is the trace objective.  Column (part, m, e) is the
     derivative along a unit change of the real (part 0) or imaginary (part 1)
-    part of psi[m, e], for the 2kd real parameters of the frame.
+    part of psi[m, e], for the 2kd real parameters of the frame.  A (..., k, d)
+    stack of frames gives a stack of residuals and Jacobians.
     """
-    k, d = psi.shape
-    blocks = psi @ ts @ psi.conj().T
+    *lead, k, d = psi.shape
+    frame = psi[..., None, :, :]
+    frame_h = psi.conj().swapaxes(-1, -2)[..., None, :, :]
+    blocks = frame @ ts @ frame_h
     # dB_a = dpsi (T_a psi^dag) + (psi T_a) dpsi^dag, entry by entry
-    p = np.swapaxes(ts @ psi.conj().T, 1, 2)[:, None, :, None, :]  # [a, -, j, -, e] = (T_a psi^dag)[e, j]
-    q = (psi @ ts)[:, :, None, None, :]                              # [a, i, -, -, e] = (psi T_a)[i, e]
+    p = np.swapaxes(ts @ frame_h, -1, -2)[..., :, None, :, None, :]  # [a, -, j, -, e] = (T_a psi^dag)[e, j]
+    q = (frame @ ts)[..., :, :, None, None, :]                       # [a, i, -, -, e] = (psi T_a)[i, e]
     eye = np.eye(k)
-    left = eye[None, :, None, :, None] * p    # delta_im (T_a psi^dag)[e, j]
-    right = eye[None, None, :, :, None] * q   # delta_jm (psi T_a)[i, e]
-    jac = np.stack([left + right, 1j * (left - right)], axis=3).reshape(-1, 2 * k * d)
-    residual = np.concatenate([blocks.real.ravel(), blocks.imag.ravel()])
-    return residual, np.concatenate([jac.real, jac.imag])
+    left = eye[:, None, :, None] * p    # delta_im (T_a psi^dag)[e, j]
+    right = eye[None, :, :, None] * q   # delta_jm (psi T_a)[i, e]
+    jac = np.stack([left + right, 1j * (left - right)], axis=-3).reshape(*lead, -1, 2 * k * d)
+    residual = np.concatenate([blocks.real.reshape(*lead, -1), blocks.imag.reshape(*lead, -1)], axis=-1)
+    return residual, np.concatenate([jac.real, jac.imag], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -263,101 +269,187 @@ class SearchResult:
 
 
 def _descend(psi, ts, gate):
-    """Two-phase descent of the trace objective f until the gate, a stall or the cap.
+    """Two-phase descent of the trace objective f for a stack of restarts, in lockstep.
 
-    Phase 1 takes Barzilai-Borwein-scaled, Armijo-backtracked steps along the
-    tangent gradient, each followed by the QR retraction.  Once f <= LM_ENTRY,
-    phase 2 takes Levenberg-Marquardt steps on the block residual: a step is
-    accepted only if it lowers f, and each rejection multiplies the damping by
-    LM_DAMPING_GROWTH.  When LM_MAX_REJECTIONS trial steps in a row fail to
-    lower f, LM has stalled and phase 1 finishes the restart.  One LM
-    iteration is one Jacobian with its trial steps, as one phase-1 iteration
-    is one gradient with its backtracks; both count toward MAX_ITERATIONS.
-    Returns (psi, f, iterations, stop_reason, evaluations).  The stop reason
-    is "gate", "stall" (the tangent gradient vanished), "iteration_cap" or
-    "backtrack_exhausted" (no phase-1 step lowered f in MAX_BACKTRACKS tries).
+    `psi` is an (R, k, d) stack of orthonormal frames, one per restart.  Each
+    restart descends on its own: phase 1 takes Barzilai-Borwein-scaled,
+    Armijo-backtracked steps along the tangent gradient, each followed by the
+    QR retraction.  Once f <= LM_ENTRY, phase 2 takes Levenberg-Marquardt
+    steps on the block residual: a step is accepted only if it lowers f, and
+    each rejection multiplies the damping by LM_DAMPING_GROWTH.  When
+    LM_MAX_REJECTIONS trial steps in a row fail to lower f (an exactly
+    singular solve counts as one, with no evaluation), LM has stalled and
+    phase 1 finishes the restart.  One LM iteration is one Jacobian with its
+    trial steps, as one phase-1 iteration is one gradient with its
+    backtracks; both count toward MAX_ITERATIONS.
+
+    The restarts advance in rounds.  In each round every restart that has not
+    stopped evaluates exactly one trial frame: one stacked QR retracts all
+    trial frames and one batched call evaluates their objectives and
+    gradients; the accepted ones get one batched tangent projection, and the
+    restarts that start an LM iteration one batched Jacobian and stacked
+    solves.  A restart that ends an iteration starts the next one in the next
+    round.  Each restart keeps its own step, damping, phase and counters, and
+    every frame keeps the memory layout `_orthonormalize_rows` gives it, so
+    the batched kernels sum in the order they sum for one frame: each
+    restart's floats are bit for bit those it computes alone.
+
+    Returns (psi, f, iterations, reasons, evaluations), one entry per restart.
+    A stop reason is "gate", "stall" (the tangent gradient vanished),
+    "iteration_cap" or "backtrack_exhausted" (no phase-1 step lowered f in
+    MAX_BACKTRACKS tries).
     """
-    f, g = _trace_objective_and_gradient(psi, ts)
-    g = _tangent(psi, g)
-    evaluations = 1
-    step = INITIAL_STEP / max(1.0, float(np.linalg.norm(g)))
-    prev: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    damping = LM_INITIAL_DAMPING
-    second_order = True
-    iterations = 0
-    reason = "iteration_cap"
-    while iterations < MAX_ITERATIONS:
-        if f <= gate:
-            break
-        if second_order and f <= LM_ENTRY:
-            iterations += 1
-            residual, jac = _residual_and_jacobian(psi, ts)
-            normal = jac.T @ jac
-            rhs = -(jac.T @ residual)
-            diag = np.diag_indices_from(normal)
-            fc = math.inf
-            for _reject in range(LM_MAX_REJECTIONS):
-                system = normal.copy()
-                system[diag] += damping * f
-                try:
-                    x = np.linalg.solve(system, rhs).reshape(2, *psi.shape)
-                except np.linalg.LinAlgError:  # damping * f too small to lift the null space
-                    damping *= LM_DAMPING_GROWTH
+    n, k, d = psi.shape
+    # frame r is base[r].T; base is C-ordered, so frames are laid out as _orthonormalize_rows lays them
+    base = psi.swapaxes(1, 2).copy()
+    f, g = _trace_objective_and_gradient(base.swapaxes(1, 2), ts)
+    g = _tangent(base.swapaxes(1, 2), g)
+    f = f.tolist()
+    step = [INITIAL_STEP / max(1.0, float(np.linalg.norm(x))) for x in g]
+    bb_step: List[Optional[float]] = [None] * n  # BB step from the last accepted phase-1 step
+    damping = [LM_INITIAL_DAMPING] * n
+    second_order = [True] * n
+    iterations, evaluations, tries, gn2 = [0] * n, [1] * n, [0] * n, [0.0] * n
+    reasons = ["iteration_cap"] * n
+    systems = {}  # restart -> (J^T J, -J^T r) of its LM iteration
+    diag = np.arange(2 * k * d)
+    begin: List[int] = list(range(n))  # restarts at the top of an iteration
+    backtrack: List[int] = []  # restarts whose next trial is a phase-1 step
+    lm_try: List[int] = []  # restarts whose next trial is an LM step
+    while True:
+        lm_trial, lm_steps = [], []
+        while begin or lm_try:
+            lm_new, first = [], []
+            for r in begin:
+                if iterations[r] >= MAX_ITERATIONS or f[r] <= gate:
                     continue
-                cand = _orthonormalize_rows(psi + x[0] + 1j * x[1])
-                fc, gc = _trace_objective_and_gradient(cand, ts)
-                evaluations += 1
-                if fc < f:
-                    break
-                damping *= LM_DAMPING_GROWTH
-            if fc < f:
-                damping /= LM_DAMPING_GROWTH
-                prev = None
-                psi, f, g = cand, fc, _tangent(cand, gc)
+                (lm_new if second_order[r] and f[r] <= LM_ENTRY else first).append(r)
+            begin = []
+            if first:
+                for r, norm2 in zip(first, np.sum(np.abs(g[first]) ** 2, axis=(1, 2)).tolist()):
+                    if norm2 < 1e-60:
+                        reasons[r] = "stall"
+                        continue
+                    gn2[r] = norm2
+                    iterations[r] += 1
+                    tries[r] = 0
+                    if bb_step[r] is not None:
+                        step[r] = bb_step[r]
+                    backtrack.append(r)
+            if lm_new:
+                residual, jac = _residual_and_jacobian(base[lm_new].swapaxes(1, 2), ts)
+                jt = jac.swapaxes(1, 2)
+                normal, rhs = jt @ jac, -(jt @ residual[..., None])[..., 0]
+                for i, r in enumerate(lm_new):
+                    iterations[r] += 1
+                    tries[r] = 0
+                    systems[r] = (normal[i], rhs[i])
+                lm_try += lm_new
+            if lm_try:
+                system = np.stack([systems[r][0] for r in lm_try])
+                system[:, diag, diag] += np.array([damping[r] * f[r] for r in lm_try])[:, None]
+                rhs = np.stack([systems[r][1] for r in lm_try])
+                try:
+                    solutions = list(np.linalg.solve(system, rhs[..., None])[..., 0])
+                except np.linalg.LinAlgError:  # a singular slice fails the whole stack
+                    solutions = [_solve_or_none(a, b) for a, b in zip(system, rhs)]
+                retry = []
+                for r, x in zip(lm_try, solutions):
+                    if x is not None:
+                        lm_trial.append(r)
+                        lm_steps.append(x)
+                        continue
+                    # damping * f too small to lift the null space: a rejection
+                    damping[r] *= LM_DAMPING_GROWTH
+                    tries[r] += 1
+                    if tries[r] < LM_MAX_REJECTIONS:
+                        retry.append(r)
+                    else:
+                        second_order[r] = False
+                        begin.append(r)
+                lm_try = retry
+        trial = backtrack + lm_trial
+        if not trial:
+            break
+        frames = []
+        if backtrack:
+            steps = np.array([step[r] for r in backtrack])[:, None, None]
+            frames.append(base[backtrack].swapaxes(1, 2) - steps * g[backtrack])
+        if lm_trial:
+            x = np.stack(lm_steps).reshape(-1, 2, k, d)
+            frames.append(base[lm_trial].swapaxes(1, 2) + x[:, 0] + 1j * x[:, 1])
+        q = _orthonormalize_rows(np.concatenate(frames))
+        fc, gc = _trace_objective_and_gradient(q, ts)
+        fc = fc.tolist()
+        first_lm = len(backtrack)
+        backtrack, accepted, moved = [], [], 0
+        for i, r in enumerate(trial):
+            evaluations[r] += 1
+            if i >= first_lm:
+                if fc[i] < f[r]:
+                    damping[r] /= LM_DAMPING_GROWTH
+                    bb_step[r] = None
+                    accepted.append(i)
+                    continue
+                damping[r] *= LM_DAMPING_GROWTH
+                tries[r] += 1
+                if tries[r] < LM_MAX_REJECTIONS:
+                    lm_try.append(r)
+                else:
+                    second_order[r] = False
+                    begin.append(r)
+            elif fc[i] < f[r] - ARMIJO * step[r] * gn2[r] or fc[i] < f[r] * (1 - 1e-12):
+                accepted.append(i)
+                moved += 1
             else:
-                second_order = False
+                step[r] *= BACKTRACK
+                tries[r] += 1
+                if tries[r] < MAX_BACKTRACKS:
+                    backtrack.append(r)
+                else:
+                    reasons[r] = "backtrack_exhausted"
+        if not accepted:
             continue
-        gn2 = float(np.sum(np.abs(g) ** 2))
-        if gn2 < 1e-60:
-            reason = "stall"
-            break
-        iterations += 1
-        if prev is not None:
-            dpsi = psi - prev[0]
-            dg = g - prev[1]
-            denom = abs(float(np.sum((dpsi.conj() * dg).real)))
-            if denom > 1e-300:
-                step = float(np.sum(np.abs(dpsi) ** 2)) / denom
-        moved = False
-        for _bt in range(MAX_BACKTRACKS):
-            cand = _orthonormalize_rows(psi - step * g)
-            fc, gc = _trace_objective_and_gradient(cand, ts)
-            evaluations += 1
-            if fc < f - ARMIJO * step * gn2 or fc < f * (1 - 1e-12):
-                moved = True
-                break
-            step *= BACKTRACK
-        if not moved:
-            reason = "backtrack_exhausted"
-            break
-        prev = (psi, g)
-        psi, f, g = cand, fc, _tangent(cand, gc)
-    if f <= gate:
-        reason = "gate"
-    return psi, f, iterations, reason, evaluations
+        rs = [trial[i] for i in accepted]
+        qa = q.swapaxes(1, 2)[accepted]
+        ga = _tangent(qa.swapaxes(1, 2), gc[accepted])
+        if moved:  # the phase-1 steps come first; each gives the BB step of its next iteration
+            dpsi = qa[:moved] - base[rs[:moved]]  # transposed frames: sums run in the frame's memory order
+            dg = ga[:moved] - g[rs[:moved]]
+            denom = np.abs(np.sum((dpsi.swapaxes(1, 2).conj() * dg).real, axis=(1, 2))).tolist()
+            num = np.sum(np.abs(dpsi) ** 2, axis=(1, 2)).tolist()
+            for r, a, b in zip(rs[:moved], num, denom):
+                bb_step[r] = a / b if b > 1e-300 else None
+        base[rs], g[rs] = qa, ga
+        for i, r in zip(accepted, rs):
+            f[r] = fc[i]
+        begin += rs
+    for r in range(n):
+        if f[r] <= gate:
+            reasons[r] = "gate"
+    return base.swapaxes(1, 2), f, iterations, reasons, evaluations
+
+
+def _solve_or_none(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> SearchResult:
     """Minimize G_t over orthonormal k-frames with seeded multi-start descent.
 
     Each restart draws an independent frame from a child seed of
-    config.seed and runs the two-phase `_descend` to the success gate: tangent
-    Barzilai-Borwein steps, then Levenberg-Marquardt steps once the trace
-    objective is below LM_ENTRY, each retracted by QR.  Its record keeps why
-    it stopped and how many objective evaluations it made.  The best frame
-    across restarts is certified; not reaching the gate is a valid negative
-    result, reported with the best objective found.  Restarts run in index
-    order; the best is the minimum objective, lowest restart index on ties.
+    config.seed; `_descend` runs all restarts together in lockstep rounds to
+    the success gate: tangent Barzilai-Borwein steps, then Levenberg-Marquardt
+    steps once the trace objective is below LM_ENTRY, each retracted by QR.
+    A restart's record (why it stopped, its objective, iterations and
+    objective evaluations) is the one it gets when run alone, so it does not
+    depend on config.restarts.  The best frame across restarts is certified;
+    not reaching the gate is a valid negative result, reported with the best
+    objective found.  The best is the minimum objective, lowest restart index
+    on ties.
     """
     if not 1 <= k <= spin.dimension:
         raise ValueError(f"k must be in 1..{spin.dimension}")
@@ -365,21 +457,23 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
         raise ValueError(f"t must be in 1..2j = {spin.two_j}")
     ts = multipole_stack(spin.two_j, 1, t)
     d = spin.dimension
-    records: List[RestartRecord] = []
-    best_psi, best_f = None, math.inf
-    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
+    starts = []
+    for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
         rng = np.random.default_rng(child)
-        psi = _orthonormalize_rows(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
-        psi, f, iterations, reason, evaluations = _descend(psi, ts, DESCENT_GATE)
-        records.append(RestartRecord(i, float(f), int(iterations), bool(f <= DESCENT_GATE), reason, evaluations))
-        if best_psi is None or f < best_f:
-            best_psi, best_f = psi, f
-    if best_f <= DESCENT_GATE:
+        starts.append(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
+    psi, f, iterations, reasons, evaluations = _descend(_orthonormalize_rows(np.stack(starts)), ts, DESCENT_GATE)
+    records = tuple(
+        RestartRecord(i, float(f[i]), int(iterations[i]), bool(f[i] <= DESCENT_GATE), reasons[i], int(evaluations[i]))
+        for i in range(config.restarts)
+    )
+    best = min(range(config.restarts), key=f.__getitem__)  # lowest index on ties
+    best_psi = psi[best]
+    if f[best] <= DESCENT_GATE:
         # a hit is already inside its basin; polishing to the machine floor
         # removes the O(sqrt(threshold)) frame noise left by the stop gate
-        best_psi = _descend(best_psi, ts, 0.0)[0]
+        best_psi = _descend(best_psi[None], ts, 0.0)[0][0]
     frame = SubspaceFrame.from_amplitudes(spin, _orthonormalize_rows(best_psi))
-    return SearchResult(verify_subspace(frame, t), tuple(records), config)
+    return SearchResult(verify_subspace(frame, t), records, config)
 
 
 def upper_bound_kmax(spin: SpinLabel, t: int) -> int:

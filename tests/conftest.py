@@ -67,3 +67,137 @@ def fraction_clebsch_gordan_2(tj1, tm1, tj2, tm2, tj, tm) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# ---------------------------------------------------------------------------
+# Serial search oracle: the one-restart-at-a-time descent that the lockstep
+# batch engine in rotosense.subspaces must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+def serial_orthonormalize_rows(psi):
+    q, r = np.linalg.qr(psi.conj().T)
+    phases = np.sign(np.diag(r).real + 1e-300)
+    return (q * phases).conj().T
+
+
+def serial_objective_and_gradient(psi, ts):
+    pt = np.einsum("kd,ade->ake", psi, ts)
+    b = np.einsum("ake,le->akl", pt, psi.conj())
+    value = float(np.sum(np.abs(b) ** 2))
+    ptd = np.einsum("kd,aed->ake", psi, ts.conj())
+    grad = np.einsum("alk,ald->kd", b.conj(), pt) + np.einsum("akl,ald->kd", b, ptd)
+    return value, grad
+
+
+def serial_tangent(psi, g):
+    s = g @ psi.conj().T
+    return g - 0.5 * (s + s.conj().T) @ psi
+
+
+def serial_residual_and_jacobian(psi, ts):
+    k, d = psi.shape
+    blocks = psi @ ts @ psi.conj().T
+    p = np.swapaxes(ts @ psi.conj().T, 1, 2)[:, None, :, None, :]
+    q = (psi @ ts)[:, :, None, None, :]
+    eye = np.eye(k)
+    left = eye[None, :, None, :, None] * p
+    right = eye[None, None, :, :, None] * q
+    jac = np.stack([left + right, 1j * (left - right)], axis=3).reshape(-1, 2 * k * d)
+    residual = np.concatenate([blocks.real.ravel(), blocks.imag.ravel()])
+    return residual, np.concatenate([jac.real, jac.imag])
+
+
+def serial_descend(psi, ts, gate):
+    """One restart of the two-phase descent, run alone; returns (psi, f, iterations, reason, evaluations)."""
+    from rotosense import subspaces as s
+
+    f, g = serial_objective_and_gradient(psi, ts)
+    g = serial_tangent(psi, g)
+    evaluations = 1
+    step = s.INITIAL_STEP / max(1.0, float(np.linalg.norm(g)))
+    prev = None
+    damping = s.LM_INITIAL_DAMPING
+    second_order = True
+    iterations = 0
+    reason = "iteration_cap"
+    while iterations < s.MAX_ITERATIONS:
+        if f <= gate:
+            break
+        if second_order and f <= s.LM_ENTRY:
+            iterations += 1
+            residual, jac = serial_residual_and_jacobian(psi, ts)
+            normal = jac.T @ jac
+            rhs = -(jac.T @ residual)
+            diag = np.diag_indices_from(normal)
+            fc = math.inf
+            for _reject in range(s.LM_MAX_REJECTIONS):
+                system = normal.copy()
+                system[diag] += damping * f
+                try:
+                    x = np.linalg.solve(system, rhs).reshape(2, *psi.shape)
+                except np.linalg.LinAlgError:
+                    damping *= s.LM_DAMPING_GROWTH
+                    continue
+                cand = serial_orthonormalize_rows(psi + x[0] + 1j * x[1])
+                fc, gc = serial_objective_and_gradient(cand, ts)
+                evaluations += 1
+                if fc < f:
+                    break
+                damping *= s.LM_DAMPING_GROWTH
+            if fc < f:
+                damping /= s.LM_DAMPING_GROWTH
+                prev = None
+                psi, f, g = cand, fc, serial_tangent(cand, gc)
+            else:
+                second_order = False
+            continue
+        gn2 = float(np.sum(np.abs(g) ** 2))
+        if gn2 < 1e-60:
+            reason = "stall"
+            break
+        iterations += 1
+        if prev is not None:
+            dpsi = psi - prev[0]
+            dg = g - prev[1]
+            denom = abs(float(np.sum((dpsi.conj() * dg).real)))
+            if denom > 1e-300:
+                step = float(np.sum(np.abs(dpsi) ** 2)) / denom
+        moved = False
+        for _bt in range(s.MAX_BACKTRACKS):
+            cand = serial_orthonormalize_rows(psi - step * g)
+            fc, gc = serial_objective_and_gradient(cand, ts)
+            evaluations += 1
+            if fc < f - s.ARMIJO * step * gn2 or fc < f * (1 - 1e-12):
+                moved = True
+                break
+            step *= s.BACKTRACK
+        if not moved:
+            reason = "backtrack_exhausted"
+            break
+        prev = (psi, g)
+        psi, f, g = cand, fc, serial_tangent(cand, gc)
+    if f <= gate:
+        reason = "gate"
+    return psi, f, iterations, reason, evaluations
+
+
+def serial_search(spin, k, t, config):
+    """The restart loop of the serial engine: (records, certificate frame matrix, certificate objective)."""
+    from rotosense import subspaces as s
+    from rotosense.multipole import multipole_stack
+
+    ts = multipole_stack(spin.two_j, 1, t)
+    d = spin.dimension
+    records = []
+    best_psi, best_f = None, math.inf
+    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
+        rng = np.random.default_rng(child)
+        psi = serial_orthonormalize_rows(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
+        psi, f, iterations, reason, evaluations = serial_descend(psi, ts, s.DESCENT_GATE)
+        records.append(s.RestartRecord(i, float(f), int(iterations), bool(f <= s.DESCENT_GATE), reason, evaluations))
+        if best_psi is None or f < best_f:
+            best_psi, best_f = psi, f
+    if best_f <= s.DESCENT_GATE:
+        best_psi = serial_descend(best_psi, ts, 0.0)[0]
+    frame = s.SubspaceFrame.from_amplitudes(spin, serial_orthonormalize_rows(best_psi))
+    return tuple(records), frame.matrix(), s.objective_g_t(frame, t)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rotosense import cli
 from rotosense import io as rio
 from rotosense.cli import main
 from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
@@ -190,6 +191,8 @@ class TestSearchCommand:
         assert data["found"] is True
         assert sum(data["stop_reasons"].values()) == 8
         assert data["stop_reasons"]["gate"] == data["converged_restarts"]
+        # every restart of this cell converges, so no miss has an objective
+        assert data["best_miss_objective"] is None
         content = rio.load_subspace(out_file)
         cert = verify_subspace(content.frame, content.t)
         assert cert.verified
@@ -199,7 +202,11 @@ class TestSearchCommand:
         code, out, _ = run(capsys, "search", "--j", "4", "--k", "2", "--t", "2",
                            "--seed", "42", "--restarts", "8")
         assert code == 4
-        assert json.loads(out)["found"] is False
+        data = json.loads(out)
+        assert data["found"] is False
+        # every restart misses; the best of them stops at a positive minimum
+        assert data["converged_restarts"] == 0
+        assert data["best_miss_objective"] > 1e-3
 
     def test_bound_violation_exit_five(self, capsys):
         code, _, err = run(capsys, "search", "--j", "2", "--k", "3", "--t", "1", "--seed", "1")
@@ -229,6 +236,19 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "certify", "--help")
         assert code == 0
         assert out.startswith("usage: rotosense certify")
+
+    def test_parser_reused_across_calls(self, capsys):
+        # one parser per process: a usage error leaves it fit for the next call
+        code, _, err = run(capsys, "search", "--j", "0.3", "--k", "1", "--t", "1", "--seed", "1")
+        assert code == 1
+        assert "error:" in err
+        code, out, _ = run(capsys, "catalog", "--list")
+        assert code == 0
+        assert json.loads(out)["entries"]
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: rotosense")
+        assert cli._parser() is cli._parser()
 
 
 class TestCatalogCommand:
@@ -302,9 +322,14 @@ class TestReproduceCommand:
         assert verify_subspace(content.frame, 2).verified
 
     def test_kmax_target_capped(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "reproduce", "--target", "kmax", "--out", str(tmp_path),
-                         "--max-j", "2", "--restarts", "8", "--seed", "5")
+        code, _, err = run(capsys, "reproduce", "--target", "kmax", "--out", str(tmp_path),
+                           "--max-j", "2", "--restarts", "8", "--seed", "5")
         assert code == 0
+        # one progress line per (j, t) scan; (3/2, t=2) has bound 0 and no scan
+        progress = err.strip().split("\n")
+        assert [line.split(" k_max=")[0] for line in progress] == [
+            "kmax: j=1 t=1", "kmax: j=3/2 t=1", "kmax: j=2 t=1", "kmax: j=2 t=2"]
+        assert "kmax: j=2 t=1 k_max=2 bound=2 (" in err
         lines = (tmp_path / "kmax.csv").read_text().strip().split("\n")
         assert lines[0] == "j,t,k_found,bound"
         rows = {(r[0], r[1]): (int(r[2]), int(r[3])) for r in (line.split(",") for line in lines[1:])}

@@ -28,7 +28,7 @@ from rotosense.subspaces import (
     upper_bound_kmax,
     verify_subspace,
 )
-from conftest import random_pure
+from conftest import random_pure, serial_search
 
 
 def einsum_g_t(frame, t):
@@ -237,7 +237,7 @@ class TestDescentEngine:
     def test_lm_step_that_raises_objective_is_rejected(self, monkeypatch):
         ts = multipole_stack(10, 1, 2)
         # restart 1 of the crawl cell, descended by phase 1 to the LM entry
-        psi, f0, _, _, _ = subspaces._descend(seeded_frame(10, 2, 20240004, 1), ts, LM_ENTRY)
+        (psi,), (f0,), _, _, _ = subspaces._descend(seeded_frame(10, 2, 20240004, 1)[None], ts, LM_ENTRY)
         assert f0 <= LM_ENTRY
         trials = []
         evaluate = subspaces._trace_objective_and_gradient
@@ -249,7 +249,7 @@ class TestDescentEngine:
 
         monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
         monkeypatch.setattr(subspaces, "MAX_ITERATIONS", 1)
-        _, f1, iterations, reason, evaluations = subspaces._descend(psi, ts, 0.0)
+        _, (f1,), (iterations,), (reason,), (evaluations,) = subspaces._descend(psi[None], ts, 0.0)
         assert (iterations, reason) == (1, "iteration_cap")
         lm_trials = trials[1:]  # trials[0] evaluates the start frame
         assert evaluations == len(trials)
@@ -257,6 +257,52 @@ class TestDescentEngine:
         assert lm_trials[0] > f0
         assert all(v >= f0 for v in lm_trials[:-1])
         assert f1 == lm_trials[-1] < f0
+
+
+class TestLockstepBatch:
+    """The batched engine reproduces the serial engine, restart by restart, bit for bit."""
+
+    @pytest.mark.parametrize("restarts", [1, 3, 16])
+    @pytest.mark.parametrize("two_j, k, t, seed", [
+        (4, 2, 1, 20240011),   # (2,2,1) hit
+        (3, 2, 1, 20240012),   # (3/2,2,1) miss
+        (8, 2, 2, 20240003),   # (4,2,2) miss
+        (10, 2, 2, 20240004),  # crawl cell: LM entry, rejections, fallback to phase 1
+        (9, 4, 1, 20240013),   # (9/2,4,1) hit
+        (7, 2, 2, 20240014),   # (7/2,2,2) hit
+    ])
+    def test_matches_serial_oracle(self, two_j, k, t, seed, restarts):
+        config = SearchConfig(seed=seed, restarts=restarts)
+        records, frame_matrix, objective = serial_search(SpinLabel(two_j), k, t, config)
+        result = search_subspace(SpinLabel(two_j), k, t, config)
+        assert len(result.records) == len(records)
+        for got, want in zip(result.records, records):
+            assert got == want
+        assert result.certificate.frame.matrix().tobytes() == frame_matrix.tobytes()
+        assert result.certificate.objective_value == objective
+
+    def test_singular_solves_match_serial_oracle(self, monkeypatch):
+        # a stacked solve fails as a whole when one slice is singular; declare
+        # singular every LM system whose first entry, read as a 64-bit
+        # integer, is divisible by 3, so that both engines meet the same ones
+        solve = np.linalg.solve
+        singular_calls = []
+
+        def solve_or_fail(a, b):
+            if np.any(np.asarray(a[..., 0, 0]).view(np.int64) % 3 == 0):
+                singular_calls.append(a.ndim)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_or_fail)
+        config = SearchConfig(seed=20240004, restarts=16)
+        records, frame_matrix, objective = serial_search(SpinLabel(10), 2, 2, config)
+        serial_calls = len(singular_calls)
+        result = search_subspace(SpinLabel(10), 2, 2, config)
+        assert 2 in singular_calls[:serial_calls] and 3 in singular_calls[serial_calls:]
+        assert result.records == records
+        assert result.certificate.frame.matrix().tobytes() == frame_matrix.tobytes()
+        assert result.certificate.objective_value == objective
 
 
 class TestBounds:
