@@ -86,18 +86,16 @@ class AnticoherenceReport:
 
 def anticoherence_report(
     rho: DensityMatrix,
-    max_order: int | None = None,
     tolerance: float = MEASURE_TOL,
 ) -> AnticoherenceReport:
-    """A_t for t = 1..max_order and the largest t with A_1..A_t all at 1."""
+    """A_t for t = 1..2j-1 and the largest t with A_1..A_t all at 1."""
     n = rho.spin.qubit_count
     if n < 2:
         raise ValueError("anticoherence measures need N = 2j >= 2")
-    top = n - 1 if max_order is None else min(max_order, n - 1)
     orders: Dict[int, float] = {}
     certified = 0
     run_intact = True
-    for t in range(1, top + 1):
+    for t in range(1, n):
         at = anticoherence_measure(rho, t)
         orders[t] = at
         if run_intact and at >= 1.0 - tolerance:

@@ -38,7 +38,9 @@ def _from_pairs(pairs) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    re, im = arr[:, 0], arr[:, 1]
+    # the bits of re + 1j * im, without its 0 * im, which warns on an infinite im
+    return np.stack([re + np.copysign(0.0, im), im + 0.0], axis=-1).view(complex)[:, 0]
 
 
 def format_float(x: float) -> str:

@@ -75,27 +75,27 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # QFI
 # ---------------------------------------------------------------------------
 
-def _qfi_pair_weights(lam: np.ndarray, rank_tolerance: float) -> np.ndarray:
+def _qfi_pair_weights(lam: np.ndarray) -> np.ndarray:
     """Matrix p_lm; pairs with lam_l + lam_m below the rank gate are dropped."""
     s = lam[:, None] + lam[None, :]
     d2 = (lam[:, None] - lam[None, :]) ** 2
-    keep = s >= rank_tolerance
+    keep = s >= DEFAULT_RANK_TOL
     p = np.zeros_like(s)
     p[keep] = d2[keep] / s[keep]
     return p
 
 
-def qfi(rho: DensityMatrix, axis, rank_tolerance: float = DEFAULT_RANK_TOL) -> float:
+def qfi(rho: DensityMatrix, axis) -> float:
     """QFI for a rotation about `axis`, from the spectral pair sum."""
     ax = _unit_axis(axis)
     lam, vec = np.linalg.eigh(rho.matrix)
     jn = component_along(rho.spin, ax)
     m = vec.conj().T @ jn @ vec
-    p = _qfi_pair_weights(lam, rank_tolerance)
+    p = _qfi_pair_weights(lam)
     return float(2.0 * np.sum(p * np.abs(m) ** 2))
 
 
-def qfi_from_moments(rho: DensityMatrix, axis, rank_tolerance: float = DEFAULT_RANK_TOL) -> float:
+def qfi_from_moments(rho: DensityMatrix, axis) -> float:
     """Algebraically equivalent form 4 Tr(rho Jn^2) - 8 sum_im lam lam/(lam+lam) |..|^2.
 
     The correction sum runs over image pairs only.  Kept as an independent
@@ -104,7 +104,7 @@ def qfi_from_moments(rho: DensityMatrix, axis, rank_tolerance: float = DEFAULT_R
     ax = _unit_axis(axis)
     lam, vec = np.linalg.eigh(rho.matrix)
     jn = component_along(rho.spin, ax)
-    keep = lam >= rank_tolerance
+    keep = lam >= DEFAULT_RANK_TOL
     lam_im = lam[keep]
     m_im = (vec.conj().T @ jn @ vec)[np.ix_(keep, keep)]
     s = lam_im[:, None] + lam_im[None, :]
@@ -153,19 +153,19 @@ class QfiQuadraticForm:
         return float(np.trace(self.matrix)) / 3.0
 
 
-def qfi_quadratic_form(rho: DensityMatrix, rank_tolerance: float = DEFAULT_RANK_TOL) -> QfiQuadraticForm:
+def qfi_quadratic_form(rho: DensityMatrix) -> QfiQuadraticForm:
     """Assemble K from the nine J_a J_b pair sums."""
     lam, vec = np.linalg.eigh(rho.matrix)
-    p = _qfi_pair_weights(lam, rank_tolerance)
+    p = _qfi_pair_weights(lam)
     ops = angular_momentum_operators(rho.spin)
     m = np.stack([vec.conj().T @ op @ vec for op in ops])
     k = 2.0 * np.einsum("lm,alm,blm->ab", p, m, m.conj()).real
     return QfiQuadraticForm(rho.spin, (k + k.T) / 2)
 
 
-def averaged_qfi(rho: DensityMatrix, rank_tolerance: float = DEFAULT_RANK_TOL) -> float:
+def averaged_qfi(rho: DensityMatrix) -> float:
     """Sphere-averaged QFI, computed exactly (no quadrature)."""
-    return qfi_quadratic_form(rho, rank_tolerance).averaged
+    return qfi_quadratic_form(rho).averaged
 
 
 def averaged_inverse_qfi_from_form(form: QfiQuadraticForm) -> float:
@@ -179,9 +179,9 @@ def averaged_inverse_qfi_from_form(form: QfiQuadraticForm) -> float:
     return float(elliprf(k1 * k2, k1 * k3, k2 * k3))
 
 
-def averaged_inverse_qfi(rho: DensityMatrix, rank_tolerance: float = DEFAULT_RANK_TOL) -> float:
+def averaged_inverse_qfi(rho: DensityMatrix) -> float:
     """Sphere average of 1/I(n, rho); +inf when I vanishes along some axis."""
-    return averaged_inverse_qfi_from_form(qfi_quadratic_form(rho, rank_tolerance))
+    return averaged_inverse_qfi_from_form(qfi_quadratic_form(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,8 @@ class CrbReport:
                 )
 
 
-def crb_report(rho: DensityMatrix, rank_tolerance: float = DEFAULT_RANK_TOL) -> CrbReport:
-    form = qfi_quadratic_form(rho, rank_tolerance)
+def crb_report(rho: DensityMatrix) -> CrbReport:
+    form = qfi_quadratic_form(rho)
     j = rho.spin.j
     return CrbReport(
         averaged_qfi=form.averaged,

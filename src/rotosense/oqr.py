@@ -19,7 +19,7 @@ import numpy as np
 
 from .anticoherence import is_anticoherent
 from .metrology import averaged_inverse_qfi_from_form, qfi_quadratic_form
-from .spin_core import DEFAULT_RANK_TOL, DensityMatrix, PureState, SpinLabel, eigen_mixture
+from .spin_core import DensityMatrix, PureState, SpinLabel, eigen_mixture
 from .subspaces import SubspaceFrame, objective_g_t, spin2_plane, spin3_one_ac_triple
 
 
@@ -27,7 +27,6 @@ from .subspaces import SubspaceFrame, objective_g_t, spin2_plane, spin3_one_ac_t
 class CertificationTolerances:
     image_g1: float = 1e-10
     multipole: float = 1e-8
-    rank: float = DEFAULT_RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,11 @@ def certify(rho: DensityMatrix) -> OqrVerdict:
     CertificationTolerances are recorded in the verdict.
     """
     tol = CertificationTolerances()
-    mixture = eigen_mixture(rho, tol.rank)
+    mixture = eigen_mixture(rho)
     frame = SubspaceFrame(rho.spin, mixture.states)
     g1 = objective_g_t(frame, 1) if rho.spin.two_j >= 1 else math.inf
     check2 = is_anticoherent(rho, 2, tol.multipole)
-    form = qfi_quadratic_form(rho, tol.rank)
+    form = qfi_quadratic_form(rho)
     fidelity_grade = g1 <= tol.image_g1
     qcrb_grade = fidelity_grade and check2.holds
     qcrb_value = averaged_inverse_qfi_from_form(form)

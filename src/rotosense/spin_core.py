@@ -419,17 +419,17 @@ def embedding_isometry(two_j: int, t: int) -> np.ndarray:
 # Spectral decomposition
 # ---------------------------------------------------------------------------
 
-def eigen_mixture(rho: DensityMatrix, rank_tolerance: float = DEFAULT_RANK_TOL) -> EigenMixture:
+def eigen_mixture(rho: DensityMatrix) -> EigenMixture:
     """Eigendecomposition of rho with weights sorted descending.
 
-    Eigenvalues below `rank_tolerance` are reported as kernel; the retained
+    Eigenvalues below DEFAULT_RANK_TOL are reported as kernel; the retained
     count defines the rank.
     """
     lam, vec = np.linalg.eigh(rho.matrix)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     vec = vec[:, order]
-    keep = lam >= rank_tolerance
+    keep = lam >= DEFAULT_RANK_TOL
     states = tuple(PureState.from_unnormalized(rho.spin, vec[:, i]) for i in range(len(lam)) if keep[i])
     kernel = tuple(PureState.from_unnormalized(rho.spin, vec[:, i]) for i in range(len(lam)) if not keep[i])
     return EigenMixture(rho.spin, lam[keep], states, kernel)

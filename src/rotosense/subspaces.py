@@ -11,9 +11,9 @@ is zero exactly on such frames.  Its zeros are found by deterministic
 multi-start descent over orthonormal k-frames in two phases: Barzilai-Borwein
 steps along the tangent gradient until the trace objective reaches LM_ENTRY,
 then damped Gauss-Newton (Levenberg-Marquardt) steps on the block residual,
-which converge where first-order steps crawl toward a zero.  All restarts of
-a search advance together in lockstep rounds through stacked kernels, each
-exactly as it would alone.
+which converge where first-order steps crawl toward a zero.  Each restart is
+one coroutine; all pending trials of a search are evaluated together by
+stacked kernels, each exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -229,22 +229,19 @@ def _residual_and_jacobian(psi: np.ndarray, ts: np.ndarray):
     The residual stacks the real and imaginary parts of every block entry, so
     its squared norm is the trace objective.  Column (part, m, e) is the
     derivative along a unit change of the real (part 0) or imaginary (part 1)
-    part of psi[m, e], for the 2kd real parameters of the frame.  A (..., k, d)
-    stack of frames gives a stack of residuals and Jacobians.
+    part of psi[m, e], for the 2kd real parameters of the frame.
     """
-    *lead, k, d = psi.shape
-    frame = psi[..., None, :, :]
-    frame_h = psi.conj().swapaxes(-1, -2)[..., None, :, :]
-    blocks = frame @ ts @ frame_h
+    k, d = psi.shape
+    blocks = psi @ ts @ psi.conj().T
     # dB_a = dpsi (T_a psi^dag) + (psi T_a) dpsi^dag, entry by entry
-    p = np.swapaxes(ts @ frame_h, -1, -2)[..., :, None, :, None, :]  # [a, -, j, -, e] = (T_a psi^dag)[e, j]
-    q = (frame @ ts)[..., :, :, None, None, :]                       # [a, i, -, -, e] = (psi T_a)[i, e]
+    p = np.swapaxes(ts @ psi.conj().T, 1, 2)[:, None, :, None, :]  # [a, -, j, -, e] = (T_a psi^dag)[e, j]
+    q = (psi @ ts)[:, :, None, None, :]                              # [a, i, -, -, e] = (psi T_a)[i, e]
     eye = np.eye(k)
-    left = eye[:, None, :, None] * p    # delta_im (T_a psi^dag)[e, j]
-    right = eye[None, :, :, None] * q   # delta_jm (psi T_a)[i, e]
-    jac = np.stack([left + right, 1j * (left - right)], axis=-3).reshape(*lead, -1, 2 * k * d)
-    residual = np.concatenate([blocks.real.reshape(*lead, -1), blocks.imag.reshape(*lead, -1)], axis=-1)
-    return residual, np.concatenate([jac.real, jac.imag], axis=-2)
+    left = eye[None, :, None, :, None] * p    # delta_im (T_a psi^dag)[e, j]
+    right = eye[None, None, :, :, None] * q   # delta_jm (psi T_a)[i, e]
+    jac = np.stack([left + right, 1j * (left - right)], axis=3).reshape(-1, 2 * k * d)
+    residual = np.concatenate([blocks.real.ravel(), blocks.imag.ravel()])
+    return residual, np.concatenate([jac.real, jac.imag])
 
 
 @dataclass(frozen=True)
@@ -268,188 +265,130 @@ class SearchResult:
         return self.certificate.verified
 
 
-def _descend(psi, ts, gate):
-    """Two-phase descent of the trace objective f for a stack of restarts, in lockstep.
+def _restart(psi, f, g, gn2, ts, gate):
+    """One restart of the two-phase descent of the trace objective f, as a coroutine.
 
-    `psi` is an (R, k, d) stack of orthonormal frames, one per restart.  Each
-    restart descends on its own: phase 1 takes Barzilai-Borwein-scaled,
-    Armijo-backtracked steps along the tangent gradient, each followed by the
-    QR retraction.  Once f <= LM_ENTRY, phase 2 takes Levenberg-Marquardt
-    steps on the block residual: a step is accepted only if it lowers f, and
-    each rejection multiplies the damping by LM_DAMPING_GROWTH.  When
-    LM_MAX_REJECTIONS trial steps in a row fail to lower f (an exactly
-    singular solve counts as one, with no evaluation), LM has stalled and
-    phase 1 finishes the restart.  One LM iteration is one Jacobian with its
-    trial steps, as one phase-1 iteration is one gradient with its
-    backtracks; both count toward MAX_ITERATIONS.
+    Starts from the frame `psi` with objective f, tangent gradient g and
+    squared gradient norm gn2.  Phase 1 takes Barzilai-Borwein-scaled,
+    Armijo-backtracked steps along g.  Once f <= LM_ENTRY, phase 2 takes
+    Levenberg-Marquardt steps on the block residual, each accepted only if it
+    lowers f; a rejection multiplies the damping by LM_DAMPING_GROWTH, and
+    after LM_MAX_REJECTIONS in a row (an exactly singular solve counts as
+    one, with no evaluation) phase 1 finishes the restart.  One iteration is
+    one gradient with its backtracks or one Jacobian with its trial steps.
 
-    The restarts advance in rounds.  In each round every restart that has not
-    stopped evaluates exactly one trial frame: one stacked QR retracts all
-    trial frames and one batched call evaluates their objectives and
-    gradients; the accepted ones get one batched tangent projection, and the
-    restarts that start an LM iteration one batched Jacobian and stacked
-    solves.  A restart that ends an iteration starts the next one in the next
-    round.  Each restart keeps its own step, damping, phase and counters, and
-    every frame keeps the memory layout `_orthonormalize_rows` gives it, so
-    the batched kernels sum in the order they sum for one frame: each
-    restart's floats are bit for bit those it computes alone.
-
-    Returns (psi, f, iterations, reasons, evaluations), one entry per restart.
-    A stop reason is "gate", "stall" (the tangent gradient vanished),
-    "iteration_cap" or "backtrack_exhausted" (no phase-1 step lowered f in
-    MAX_BACKTRACKS tries).
+    Each trial frame is yielded before retraction; the reply is (retracted
+    frame, f, g, gn2) at it.  Returns (psi, f, iterations, reason,
+    evaluations), where reason is "gate", "stall" (g vanished),
+    "iteration_cap" or "backtrack_exhausted" (MAX_BACKTRACKS tries failed).
     """
-    n, k, d = psi.shape
-    # frame r is base[r].T; base is C-ordered, so frames are laid out as _orthonormalize_rows lays them
-    base = psi.swapaxes(1, 2).copy()
-    f, g = _trace_objective_and_gradient(base.swapaxes(1, 2), ts)
-    g = _tangent(base.swapaxes(1, 2), g)
-    f = f.tolist()
-    step = [INITIAL_STEP / max(1.0, float(np.linalg.norm(x))) for x in g]
-    bb_step: List[Optional[float]] = [None] * n  # BB step from the last accepted phase-1 step
-    damping = [LM_INITIAL_DAMPING] * n
-    second_order = [True] * n
-    iterations, evaluations, tries, gn2 = [0] * n, [1] * n, [0] * n, [0.0] * n
-    reasons = ["iteration_cap"] * n
-    systems = {}  # restart -> (J^T J, -J^T r) of its LM iteration
-    diag = np.arange(2 * k * d)
-    begin: List[int] = list(range(n))  # restarts at the top of an iteration
-    backtrack: List[int] = []  # restarts whose next trial is a phase-1 step
-    lm_try: List[int] = []  # restarts whose next trial is an LM step
-    while True:
-        lm_trial, lm_steps = [], []
-        while begin or lm_try:
-            lm_new, first = [], []
-            for r in begin:
-                if iterations[r] >= MAX_ITERATIONS or f[r] <= gate:
-                    continue
-                (lm_new if second_order[r] and f[r] <= LM_ENTRY else first).append(r)
-            begin = []
-            if first:
-                for r, norm2 in zip(first, np.sum(np.abs(g[first]) ** 2, axis=(1, 2)).tolist()):
-                    if norm2 < 1e-60:
-                        reasons[r] = "stall"
-                        continue
-                    gn2[r] = norm2
-                    iterations[r] += 1
-                    tries[r] = 0
-                    if bb_step[r] is not None:
-                        step[r] = bb_step[r]
-                    backtrack.append(r)
-            if lm_new:
-                residual, jac = _residual_and_jacobian(base[lm_new].swapaxes(1, 2), ts)
-                jt = jac.swapaxes(1, 2)
-                normal, rhs = jt @ jac, -(jt @ residual[..., None])[..., 0]
-                for i, r in enumerate(lm_new):
-                    iterations[r] += 1
-                    tries[r] = 0
-                    systems[r] = (normal[i], rhs[i])
-                lm_try += lm_new
-            if lm_try:
-                system = np.stack([systems[r][0] for r in lm_try])
-                system[:, diag, diag] += np.array([damping[r] * f[r] for r in lm_try])[:, None]
-                rhs = np.stack([systems[r][1] for r in lm_try])
-                try:
-                    solutions = list(np.linalg.solve(system, rhs[..., None])[..., 0])
-                except np.linalg.LinAlgError:  # a singular slice fails the whole stack
-                    solutions = [_solve_or_none(a, b) for a, b in zip(system, rhs)]
-                retry = []
-                for r, x in zip(lm_try, solutions):
-                    if x is not None:
-                        lm_trial.append(r)
-                        lm_steps.append(x)
-                        continue
-                    # damping * f too small to lift the null space: a rejection
-                    damping[r] *= LM_DAMPING_GROWTH
-                    tries[r] += 1
-                    if tries[r] < LM_MAX_REJECTIONS:
-                        retry.append(r)
-                    else:
-                        second_order[r] = False
-                        begin.append(r)
-                lm_try = retry
-        trial = backtrack + lm_trial
-        if not trial:
+    evaluations = 1
+    step = INITIAL_STEP / max(1.0, float(np.linalg.norm(g)))
+    prev = None
+    damping = LM_INITIAL_DAMPING
+    second_order = True
+    iterations = 0
+    reason = "iteration_cap"
+    while iterations < MAX_ITERATIONS:
+        if f <= gate:
             break
-        frames = []
-        if backtrack:
-            steps = np.array([step[r] for r in backtrack])[:, None, None]
-            frames.append(base[backtrack].swapaxes(1, 2) - steps * g[backtrack])
-        if lm_trial:
-            x = np.stack(lm_steps).reshape(-1, 2, k, d)
-            frames.append(base[lm_trial].swapaxes(1, 2) + x[:, 0] + 1j * x[:, 1])
-        q = _orthonormalize_rows(np.concatenate(frames))
-        fc, gc = _trace_objective_and_gradient(q, ts)
-        fc = fc.tolist()
-        first_lm = len(backtrack)
-        backtrack, accepted, moved = [], [], 0
-        for i, r in enumerate(trial):
-            evaluations[r] += 1
-            if i >= first_lm:
-                if fc[i] < f[r]:
-                    damping[r] /= LM_DAMPING_GROWTH
-                    bb_step[r] = None
-                    accepted.append(i)
+        if second_order and f <= LM_ENTRY:
+            iterations += 1
+            residual, jac = _residual_and_jacobian(psi, ts)
+            normal = jac.T @ jac
+            rhs = -(jac.T @ residual)
+            diag = np.diag_indices_from(normal)
+            for _reject in range(LM_MAX_REJECTIONS):
+                system = normal.copy()
+                system[diag] += damping * f
+                try:
+                    x = np.linalg.solve(system, rhs).reshape(2, *psi.shape)
+                except np.linalg.LinAlgError:  # damping * f too small to lift the null space
+                    damping *= LM_DAMPING_GROWTH
                     continue
-                damping[r] *= LM_DAMPING_GROWTH
-                tries[r] += 1
-                if tries[r] < LM_MAX_REJECTIONS:
-                    lm_try.append(r)
-                else:
-                    second_order[r] = False
-                    begin.append(r)
-            elif fc[i] < f[r] - ARMIJO * step[r] * gn2[r] or fc[i] < f[r] * (1 - 1e-12):
-                accepted.append(i)
-                moved += 1
+                cand, fc, gc, gn2c = yield psi + x[0] + 1j * x[1]
+                evaluations += 1
+                if fc < f:
+                    damping /= LM_DAMPING_GROWTH
+                    prev = None
+                    psi, f, g, gn2 = cand, fc, gc, gn2c
+                    break
+                damping *= LM_DAMPING_GROWTH
             else:
-                step[r] *= BACKTRACK
-                tries[r] += 1
-                if tries[r] < MAX_BACKTRACKS:
-                    backtrack.append(r)
-                else:
-                    reasons[r] = "backtrack_exhausted"
-        if not accepted:
+                second_order = False
             continue
-        rs = [trial[i] for i in accepted]
-        qa = q.swapaxes(1, 2)[accepted]
-        ga = _tangent(qa.swapaxes(1, 2), gc[accepted])
-        if moved:  # the phase-1 steps come first; each gives the BB step of its next iteration
-            dpsi = qa[:moved] - base[rs[:moved]]  # transposed frames: sums run in the frame's memory order
-            dg = ga[:moved] - g[rs[:moved]]
-            denom = np.abs(np.sum((dpsi.swapaxes(1, 2).conj() * dg).real, axis=(1, 2))).tolist()
-            num = np.sum(np.abs(dpsi) ** 2, axis=(1, 2)).tolist()
-            for r, a, b in zip(rs[:moved], num, denom):
-                bb_step[r] = a / b if b > 1e-300 else None
-        base[rs], g[rs] = qa, ga
-        for i, r in zip(accepted, rs):
-            f[r] = fc[i]
-        begin += rs
-    for r in range(n):
-        if f[r] <= gate:
-            reasons[r] = "gate"
-    return base.swapaxes(1, 2), f, iterations, reasons, evaluations
+        if gn2 < 1e-60:
+            reason = "stall"
+            break
+        iterations += 1
+        if prev is not None:
+            dpsi = psi - prev[0]
+            dg = g - prev[1]
+            denom = abs(float((dpsi.conj() * dg).real.sum()))
+            if denom > 1e-300:
+                step = float((np.abs(dpsi) ** 2).sum()) / denom
+        for _bt in range(MAX_BACKTRACKS):
+            cand, fc, gc, gn2c = yield psi - step * g
+            evaluations += 1
+            if fc < f - ARMIJO * step * gn2 or fc < f * (1 - 1e-12):
+                break
+            step *= BACKTRACK
+        else:
+            reason = "backtrack_exhausted"
+            break
+        prev = (psi, g)
+        psi, f, g, gn2 = cand, fc, gc, gn2c
+    if f <= gate:
+        reason = "gate"
+    return psi, f, iterations, reason, evaluations
 
 
-def _solve_or_none(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
+def _evaluate(psi, ts):
+    """Objective, tangent gradient and its squared norm for each frame of an (R, k, d) stack."""
+    f, g = _trace_objective_and_gradient(psi, ts)
+    g = _tangent(psi, g)
+    return f.tolist(), g, np.sum(np.abs(g) ** 2, axis=(1, 2)).tolist()
+
+
+def _descend(psi, ts, gate):
+    """Run one `_restart` per frame of the (R, k, d) stack `psi`, evaluating their trials together.
+
+    In each round every restart that has not stopped yields one trial frame;
+    one stacked QR retracts them all and one batched `_evaluate` scores them.
+    The stacked kernels sum each frame in the order they sum it alone, so each
+    restart's floats are bit for bit those it computes alone.  Returns (psi,
+    f, iterations, reasons, evaluations), one entry per restart.
+    """
+    restarts = [_restart(*start, ts, gate) for start in zip(psi, *_evaluate(psi, ts))]
+    results = [None] * len(restarts)
+    replies = dict.fromkeys(range(len(restarts)))  # live restart -> what to send it next
+    while replies:
+        trials = {}
+        for r, reply in replies.items():
+            try:
+                trials[r] = restarts[r].send(reply)
+            except StopIteration as stop:
+                results[r] = stop.value
+        replies = {}
+        if trials:
+            q = _orthonormalize_rows(np.array(list(trials.values())))
+            replies = dict(zip(trials, zip(q, *_evaluate(q, ts))))
+    frames, f, iterations, reasons, evaluations = map(list, zip(*results))
+    # stacked so that each frame keeps the memory layout _orthonormalize_rows gives it
+    return np.array([p.T for p in frames]).swapaxes(1, 2), f, iterations, reasons, evaluations
 
 
 def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> SearchResult:
     """Minimize G_t over orthonormal k-frames with seeded multi-start descent.
 
-    Each restart draws an independent frame from a child seed of
-    config.seed; `_descend` runs all restarts together in lockstep rounds to
-    the success gate: tangent Barzilai-Borwein steps, then Levenberg-Marquardt
-    steps once the trace objective is below LM_ENTRY, each retracted by QR.
-    A restart's record (why it stopped, its objective, iterations and
-    objective evaluations) is the one it gets when run alone, so it does not
-    depend on config.restarts.  The best frame across restarts is certified;
-    not reaching the gate is a valid negative result, reported with the best
-    objective found.  The best is the minimum objective, lowest restart index
-    on ties.
+    Each restart draws an independent frame from a child seed of config.seed
+    and runs as its own `_restart` coroutine to the success gate; `_descend`
+    evaluates the pending trials of all restarts together.  A restart's
+    record (why it stopped, its objective, iterations and objective
+    evaluations) is the one it gets when run alone, so it does not depend on
+    config.restarts.  The best frame (minimum objective, lowest index on
+    ties) is certified; not reaching the gate is a valid negative result,
+    reported with the best objective found.
     """
     if not 1 <= k <= spin.dimension:
         raise ValueError(f"k must be in 1..{spin.dimension}")

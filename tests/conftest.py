@@ -70,8 +70,8 @@ def rng():
 
 
 # ---------------------------------------------------------------------------
-# Serial search oracle: the one-restart-at-a-time descent that the lockstep
-# batch engine in rotosense.subspaces must reproduce bit for bit.
+# Serial search oracle: the one-restart-at-a-time descent that the batch
+# driver in rotosense.subspaces must reproduce bit for bit.
 # ---------------------------------------------------------------------------
 
 def serial_orthonormalize_rows(psi):

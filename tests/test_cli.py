@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,15 +164,20 @@ class TestCertifyCommand:
         {"two_j": 1, "kind": "pure", "amplitudes": [[float("nan"), 0], [0, 0]]},
         {"two_j": 1, "kind": "mixed-matrix",
          "matrix": [[[0.5, 0], [float("inf"), 0]], [[float("inf"), 0], [0.5, 0]]]},
+        {"two_j": 1, "kind": "pure", "amplitudes": [[1, 0], [0, float("inf")]]},
     ])
     def test_non_finite_entries_exit_one(self, tmp_path, capsys, command, payload):
         p = tmp_path / "nan.json"
         p.write_text(json.dumps(payload))  # json writes NaN and Infinity literals
-        code, out, err = run(capsys, command, str(p))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, str(p))
         assert code == 1
         assert out == ""
         assert "not finite" in err
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_near_singular_form_exit_three(self, state_files, capsys):
         # K ~ diag(4.9e-10, 4, 4): a verdict with a finite QCRB, not a traceback

@@ -23,6 +23,7 @@ DOCUMENTED = {
     "certify": {0, 1, 2, 3},
     "search": {0, 1, 4, 5},
     "catalog": {0, 1},
+    "reproduce": {0, 1},
 }
 FUZZ = settings(derandomize=True, deadline=None, max_examples=120,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -175,4 +176,26 @@ def test_catalog_exits_with_documented_codes(argv):
     with tempfile.TemporaryDirectory() as tmp:
         code, err = run_main(argv, tmp)
     assert code in DOCUMENTED["catalog"], argv
+    assert "Traceback" not in err
+
+
+@st.composite
+def reproduce_argvs(draw):
+    """reproduce argv for every target, j <= 3/2 and -1..2 restarts; at most one junk field or an --out under a file."""
+    flaw = draw(st.sampled_from((None, None, None, "max-j", "seed", "out")))
+    target = draw(st.sampled_from(["fig1", "kmax", "negativity", "tables"]))
+    max_j = draw(st.sampled_from(["0", "-1", "2/3", "x", "nan", ""] if flaw == "max-j" else ["1/2", "1", "3/2", "1.5"]))
+    seed = draw(st.sampled_from(["-3", "x", "1.5", ""]) if flaw == "seed" else st.integers(0, 2**40).map(str))
+    out = draw(st.sampled_from([str(Path("file") / "out"), "file"]) if flaw == "out" else st.just("out"))
+    return ["reproduce", "--target", target, "--out", out, "--max-j", max_j,
+            "--restarts", str(draw(st.integers(-1, 2))), "--seed", seed]
+
+
+@settings(FUZZ, max_examples=60)
+@given(argv=reproduce_argvs())
+def test_reproduce_exits_with_documented_codes(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "file").write_text("a regular file, not a directory")
+        code, err = run_main(argv, tmp)
+    assert code in DOCUMENTED["reproduce"], argv
     assert "Traceback" not in err

@@ -192,12 +192,14 @@ class TestSearch:
             SearchConfig(seed=1, restarts=0)
 
 
-def seeded_frame(two_j, k, seed, index):
-    """Restart `index` of a search at `seed`: its start frame, drawn as the search draws it."""
-    child = np.random.SeedSequence(seed).spawn(index + 1)[index]
-    rng = np.random.default_rng(child)
+def seeded_starts(two_j, k, seed, restarts):
+    """The (restarts, k, d) stack of start frames of a search at `seed`, drawn and retracted as the search does."""
     d = two_j + 1
-    return subspaces._orthonormalize_rows(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
+    starts = []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        starts.append(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
+    return subspaces._orthonormalize_rows(np.stack(starts))
 
 
 class TestDescentEngine:
@@ -237,7 +239,7 @@ class TestDescentEngine:
     def test_lm_step_that_raises_objective_is_rejected(self, monkeypatch):
         ts = multipole_stack(10, 1, 2)
         # restart 1 of the crawl cell, descended by phase 1 to the LM entry
-        (psi,), (f0,), _, _, _ = subspaces._descend(seeded_frame(10, 2, 20240004, 1)[None], ts, LM_ENTRY)
+        (psi,), (f0,), _, _, _ = subspaces._descend(seeded_starts(10, 2, 20240004, 2)[1:], ts, LM_ENTRY)
         assert f0 <= LM_ENTRY
         trials = []
         evaluate = subspaces._trace_objective_and_gradient
@@ -260,7 +262,7 @@ class TestDescentEngine:
 
 
 class TestLockstepBatch:
-    """The batched engine reproduces the serial engine, restart by restart, bit for bit."""
+    """The batch driver reproduces the serial engine, restart by restart, bit for bit."""
 
     @pytest.mark.parametrize("restarts", [1, 3, 16])
     @pytest.mark.parametrize("two_j, k, t, seed", [
@@ -282,8 +284,7 @@ class TestLockstepBatch:
         assert result.certificate.objective_value == objective
 
     def test_singular_solves_match_serial_oracle(self, monkeypatch):
-        # a stacked solve fails as a whole when one slice is singular; declare
-        # singular every LM system whose first entry, read as a 64-bit
+        # declare singular every LM system whose first entry, read as a 64-bit
         # integer, is divisible by 3, so that both engines meet the same ones
         solve = np.linalg.solve
         singular_calls = []
@@ -299,10 +300,31 @@ class TestLockstepBatch:
         records, frame_matrix, objective = serial_search(SpinLabel(10), 2, 2, config)
         serial_calls = len(singular_calls)
         result = search_subspace(SpinLabel(10), 2, 2, config)
-        assert 2 in singular_calls[:serial_calls] and 3 in singular_calls[serial_calls:]
+        assert serial_calls > 0 and len(singular_calls) == 2 * serial_calls
         assert result.records == records
         assert result.certificate.frame.matrix().tobytes() == frame_matrix.tobytes()
         assert result.certificate.objective_value == objective
+
+    @pytest.mark.parametrize("two_j, k, t, seed", [
+        (8, 2, 2, 20240003),   # (4,2,2) miss
+        (10, 2, 2, 20240004),  # crawl cell
+    ])
+    def test_driver_evaluates_all_pending_trials_together(self, monkeypatch, two_j, k, t, seed):
+        ts = multipole_stack(two_j, 1, t)
+        psi = seeded_starts(two_j, k, seed, 16)
+        frames = []
+        evaluate = subspaces._trace_objective_and_gradient
+
+        def recording(p, t):
+            frames.append(p.shape[0])
+            return evaluate(p, t)
+
+        monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
+        evaluations = subspaces._descend(psi, ts, subspaces.DESCENT_GATE)[4]
+        # one call for the start frames, then one per round over every pending trial
+        assert frames[0] == 16
+        assert len(frames) == max(evaluations)
+        assert sum(frames) == sum(evaluations)
 
 
 class TestBounds:
