@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 
 import numpy as np
 
-from .multipole import MultipoleIndex, multipole_operator, multipole_stack
+from .multipole import MultipoleIndex, _coefficient_items, multipole_operator, multipole_stack
 from .spin_core import DensityMatrix, SpinLabel, embedding_isometry
 
 ANTICOHERENCE_TOL = 1e-8
@@ -108,12 +108,6 @@ def anticoherence_report(
 # ---------------------------------------------------------------------------
 # Mixed anticoherent constructions
 # ---------------------------------------------------------------------------
-
-def _coefficient_items(coefficients: Mapping) -> Iterable[Tuple[MultipoleIndex, complex]]:
-    for key, value in coefficients.items():
-        idx = key if isinstance(key, MultipoleIndex) else MultipoleIndex(*key)
-        yield idx, complex(value)
-
 
 def perturbed_anticoherent_state(
     spin: SpinLabel,

@@ -12,16 +12,20 @@ L = 0 coefficient is pinned to 1/sqrt(2j+1).
 Since m' = m + M, T_LM has one non-zero diagonal.  Only that diagonal is
 stored: each L sector is a (2L+1, 2j+1) array, built once per (2j, L) from
 the integer Racah sum of `spin_core.clebsch_gordan_2` for M >= 0 and mirrored
-to M < 0 by the adjoint symmetry.  Dense matrices are written from the
-diagonals into fresh zero arrays; `multipole_stack` is the one cache of
-dense matrices, and no Clebsch-Gordan coefficient is cached.
+to M < 0 by the adjoint symmetry.  `expand` and `reconstruct` read these
+diagonals directly, one pass per offset M, so no dense matrix of the full L
+range is ever built.  Dense matrices are written from the diagonals into
+fresh zero arrays; `multipole_stack` is the one cache of them, kept for the
+consumers of the low sectors L <= t (the subspace objective and search,
+`verify_subspace`, `is_anticoherent`).  No Clebsch-Gordan coefficient is
+cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -42,6 +46,13 @@ class MultipoleIndex:
     def validate_for(self, spin: SpinLabel):
         if self.L > spin.two_j:
             raise ValueError(f"L={self.L} exceeds 2j={spin.two_j}")
+
+
+def _coefficient_items(coefficients: Mapping) -> Iterable[Tuple[MultipoleIndex, complex]]:
+    """(index, value) pairs from a mapping keyed by MultipoleIndex or (L, M) pairs."""
+    for key, value in coefficients.items():
+        idx = key if isinstance(key, MultipoleIndex) else MultipoleIndex(*key)
+        yield idx, complex(value)
 
 
 @lru_cache(maxsize=None)
@@ -84,8 +95,8 @@ def multipole_stack(two_j: int, l_min: int, l_max: int) -> np.ndarray:
     """All T_LM for l_min <= L <= l_max stacked along the first axis.
 
     Index order is (L, M) with M ascending within each L; used by the
-    anticoherence checks and the subspace objective, where whole L sectors
-    are consumed at once.  Cached; do not mutate the result.
+    anticoherence checks and the subspace objective, where whole low L
+    sectors are consumed at once.  Cached; do not mutate the result.
     """
     if not 0 <= l_min <= l_max <= two_j:
         raise ValueError(f"invalid L range [{l_min}, {l_max}] for two_j={two_j}")
@@ -98,13 +109,13 @@ def multipole_stack(two_j: int, l_min: int, l_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultipoleExpansion:
-    """Coefficients rho_LM of an operator in the T_LM basis."""
+    """Coefficients rho_LM of an operator in the T_LM basis; keys may also be (L, M) pairs."""
 
     spin: SpinLabel
     coefficients: Dict[MultipoleIndex, complex] = field(repr=False)
 
     def __post_init__(self):
-        coeffs = dict(self.coefficients)
+        coeffs = dict(_coefficient_items(self.coefficients))
         for idx, c in coeffs.items():
             idx.validate_for(self.spin)
             mirror = coeffs.get(MultipoleIndex(idx.L, -idx.M), 0.0)
@@ -124,21 +135,44 @@ class MultipoleExpansion:
 
 
 def expand(rho: DensityMatrix) -> MultipoleExpansion:
-    """Hilbert-Schmidt components rho_LM = Tr(rho T_LM^dag)."""
-    coeffs = {}
-    ts = multipole_stack(rho.spin.two_j, 0, rho.spin.two_j)
-    for L in range(0, rho.spin.two_j + 1):
-        for M in range(-L, L + 1):
-            t = ts[L * L + L + M]
-            coeffs[MultipoleIndex(L, M)] = complex(np.trace(rho.matrix @ t.conj().T))
+    """Hilbert-Schmidt components rho_LM = Tr(rho T_LM^dag), gathered per diagonal offset M.
+
+    Tr(rho T_LM^dag) is the sum over rows i of rho[i, i + M] T_LM[i, i + M]:
+    for each M the diagonal of rho at offset M, zero-padded to length 2j+1 at
+    the rows the diagonal misses, is multiplied by row L + M of every sector
+    with L >= |M|, and each product is summed over all 2j+1 rows.
+    """
+    two_j = rho.spin.two_j
+    d = two_j + 1
+    table = np.zeros((d, 2 * d - 1), dtype=complex)  # rho_LM at [L, M + 2j]
+    for M in range(-two_j, two_j + 1):
+        lo, hi = max(M, 0), min(d, d + M)  # columns b of the diagonal; its row is i = b - M
+        rows = np.array([_sector(two_j, L)[L + M, lo:hi] for L in range(abs(M), d)])
+        terms = np.zeros((len(rows), d), dtype=complex)
+        terms[:, lo - M:hi - M] = np.diagonal(rho.matrix, M) * rows
+        table[abs(M):, M + two_j] = terms.sum(axis=-1)
+    values = table.tolist()
+    coeffs = {MultipoleIndex(L, M): values[L][M + two_j] for L in range(d) for M in range(-L, L + 1)}
     return MultipoleExpansion(rho.spin, coeffs)
 
 
 def reconstruct(expansion: MultipoleExpansion) -> DensityMatrix:
-    """Sum rho_LM T_LM; raises if the result is not a valid density matrix."""
-    d = expansion.spin.dimension
-    m = np.zeros((d, d), dtype=complex)
-    ts = multipole_stack(expansion.spin.two_j, 0, expansion.spin.two_j)
+    """Sum rho_LM T_LM; raises if the result is not a valid density matrix.
+
+    The terms of each diagonal offset M are summed in the expansion's order
+    and each sum is written into its diagonal of one zero matrix.
+    """
+    two_j = expansion.spin.two_j
+    d = two_j + 1
+    diagonals: Dict[int, np.ndarray] = {}
     for idx, c in expansion.coefficients.items():
-        m += c * ts[idx.L * idx.L + idx.L + idx.M]
+        lo, hi = max(idx.M, 0), min(d, d + idx.M)
+        acc = diagonals.get(idx.M)
+        if acc is None:
+            acc = diagonals[idx.M] = np.zeros(hi - lo, dtype=complex)
+        acc += c * _sector(two_j, idx.L)[idx.L + idx.M, lo:hi]
+    m = np.zeros((d, d), dtype=complex)
+    for M, acc in diagonals.items():
+        b = np.arange(max(M, 0), min(d, d + M))
+        m[b - M, b] = acc
     return DensityMatrix(expansion.spin, m)

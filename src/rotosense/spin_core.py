@@ -397,21 +397,21 @@ def embedding_isometry(two_j: int, t: int) -> np.ndarray:
 
     Row index runs over product-basis pairs (mu, nu) with both factors in
     descending-m order (nu fastest); column index is the spin-j basis.
-    Columns are the Clebsch-Gordan coupled states, so E^dag E = 1.
+    Columns are the Clebsch-Gordan coupled states, so E^dag E = 1.  The
+    coupling is stretched (j = t/2 + (j - t/2)), where the coefficient has
+    the closed form <t/2 mu; j-t/2 nu | j mu+nu> = sqrt(C(t, ia) C(2j-t, ib)
+    / C(2j, ia+ib)) with ia, ib the descending-m positions of mu and nu: one
+    correctly rounded integer true division and a square root, as in
+    `clebsch_gordan_2`, so the floats are the same.
     """
     if not 1 <= t <= two_j - 1:
         raise ValueError(f"bipartition size t={t} out of range for two_j={two_j}")
-    ta, tb = t, two_j - t
-    da, db, d = ta + 1, tb + 1, two_j + 1
-    e = np.zeros((da * db, d))
+    da, db = t + 1, two_j - t + 1
+    e = np.zeros((da * db, two_j + 1))
     for ia in range(da):
-        tmu = ta - 2 * ia
         for ib in range(db):
-            tnu = tb - 2 * ib
-            tm = tmu + tnu
-            if abs(tm) > two_j:
-                continue
-            e[ia * db + ib, (two_j - tm) // 2] = clebsch_gordan_2(ta, tmu, tb, tnu, two_j, tm)
+            e[ia * db + ib, ia + ib] = math.sqrt(
+                math.comb(t, ia) * math.comb(two_j - t, ib) / math.comb(two_j, ia + ib))
     return _readonly(e)
 
 

@@ -25,6 +25,37 @@ def all_indices(two_j):
     return [MultipoleIndex(L, M) for L in range(two_j + 1) for M in range(-L, L + 1)]
 
 
+def dense_expand(rho):
+    """Reference expansion: each rho_LM as Tr(rho T_LM^dag) against the full dense stack."""
+    coeffs = {}
+    ts = multipole_stack(rho.spin.two_j, 0, rho.spin.two_j)
+    for L in range(0, rho.spin.two_j + 1):
+        for M in range(-L, L + 1):
+            t = ts[L * L + L + M]
+            coeffs[MultipoleIndex(L, M)] = complex(np.trace(rho.matrix @ t.conj().T))
+    return MultipoleExpansion(rho.spin, coeffs)
+
+
+def dense_reconstruct(expansion):
+    """Reference reconstruction: rho_LM T_LM added in the expansion's order from the full dense stack."""
+    d = expansion.spin.dimension
+    m = np.zeros((d, d), dtype=complex)
+    ts = multipole_stack(expansion.spin.two_j, 0, expansion.spin.two_j)
+    for idx, c in expansion.coefficients.items():
+        m += c * ts[idx.L * idx.L + idx.L + idx.M]
+    return DensityMatrix(expansion.spin, m)
+
+
+def coefficient_bytes(expansion):
+    return list(expansion.coefficients), np.array(list(expansion.coefficients.values())).tobytes()
+
+
+def assert_gathers_match_dense(rho):
+    exp = expand(rho)
+    assert coefficient_bytes(exp) == coefficient_bytes(dense_expand(rho))
+    assert reconstruct(exp).matrix.tobytes() == dense_reconstruct(exp).matrix.tobytes()
+
+
 def dense_t_lm(two_j, L, M):
     """Reference T_LM: every one of the d^2 entries from the Fraction Racah sum."""
     d = two_j + 1
@@ -199,3 +230,56 @@ class TestExpansion:
     def test_conjugation_symmetry_enforced(self):
         with pytest.raises(ValueError, match="conjugation"):
             MultipoleExpansion(SpinLabel(2), {MultipoleIndex(1, 1): 1.0 + 0j})
+        with pytest.raises(ValueError, match="conjugation"):
+            MultipoleExpansion(SpinLabel(2), {(1, 1): 1.0 + 0j})
+
+    def test_tuple_keys_accepted(self):
+        exp = MultipoleExpansion(SpinLabel(2), {(0, 0): 3**-0.5})
+        assert exp.coefficients == {MultipoleIndex(0, 0): 3**-0.5 + 0j}
+        assert np.allclose(reconstruct(exp).matrix, np.eye(3) / 3, atol=1e-15)
+        with pytest.raises(ValueError, match="invalid multipole index"):
+            MultipoleExpansion(SpinLabel(2), {(1, 2): 0.0})
+        with pytest.raises(ValueError, match="exceeds"):
+            MultipoleExpansion(SpinLabel(2), {(3, 0): 0.0})
+
+
+class TestGathersMatchDenseStack:
+    """expand and reconstruct read the stored diagonals; the dense-stack versions they replaced are the oracle."""
+
+    @pytest.mark.parametrize("two_j", list(range(0, 21)))
+    def test_every_small_spin(self, two_j):
+        s = SpinLabel(two_j)
+        rng = np.random.default_rng(20241100 + two_j)
+        states = [random_density(s, rng), random_density(s, rng, rank=1),
+                  DensityMatrix.maximally_mixed(s), PureState.basis_state(s, two_j).density_matrix()]
+        x = rng.normal(size=(s.dimension, s.dimension))
+        states.append(DensityMatrix(s, x @ x.T / np.trace(x @ x.T)))  # real entries: zero imaginary parts
+        for rho in states:
+            assert_gathers_match_dense(rho)
+
+    @pytest.mark.parametrize("two_j", [32, 40])
+    def test_large_spins(self, two_j):
+        rng = np.random.default_rng(20241132 + two_j)
+        for rank in (None, 3):
+            assert_gathers_match_dense(random_density(SpinLabel(two_j), rng, rank=rank))
+
+    @pytest.mark.parametrize("two_j", [7, 40])
+    def test_non_canonical_order(self, two_j):
+        # the terms of one offset are added in the expansion's own order
+        rng = np.random.default_rng(20241207 + two_j)
+        items = list(expand(random_density(SpinLabel(two_j), rng)).coefficients.items())
+        for order in (items[::-1], [items[k] for k in rng.permutation(len(items))]):
+            exp = MultipoleExpansion(SpinLabel(two_j), dict(order))
+            assert reconstruct(exp).matrix.tobytes() == dense_reconstruct(exp).matrix.tobytes()
+
+    def test_hand_built_sparse_expansion(self):
+        w, c2 = 0.5, 1 / math.sqrt(2)
+        exp = MultipoleExpansion(SpinLabel(3), {(3, 2): w * c2, (0, 0): 0.5, (3, -2): w * c2})
+        assert reconstruct(exp).matrix.tobytes() == dense_reconstruct(exp).matrix.tobytes()
+
+    def test_no_dense_stack_at_large_spin(self, rng):
+        before = multipole_stack.cache_info()
+        rho = random_density(SpinLabel(80), rng, rank=4)
+        back = reconstruct(expand(rho))
+        assert multipole_stack.cache_info() == before
+        assert np.abs(back.matrix - rho.matrix).max() < 1e-12

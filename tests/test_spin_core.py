@@ -310,6 +310,41 @@ class TestIntegerRacahSum:
             assert embedding_isometry(two_j, t).tobytes() == want.tobytes()
 
 
+def cg_embedding_isometry(two_j, t):
+    """Reference isometry: every entry from clebsch_gordan_2, as the Racah-sum loop built it."""
+    ta, tb = t, two_j - t
+    da, db, d = ta + 1, tb + 1, two_j + 1
+    e = np.zeros((da * db, d))
+    for ia in range(da):
+        tmu = ta - 2 * ia
+        for ib in range(db):
+            tnu = tb - 2 * ib
+            tm = tmu + tnu
+            if abs(tm) > two_j:
+                continue
+            e[ia * db + ib, (two_j - tm) // 2] = clebsch_gordan_2(ta, tmu, tb, tnu, two_j, tm)
+    return e
+
+
+class TestClosedFormEmbedding:
+    @pytest.mark.parametrize("two_j", list(range(2, 41)))
+    def test_matches_racah_sum_bytes(self, two_j):
+        for t in range(1, two_j):
+            got = embedding_isometry(two_j, t)
+            assert got.tobytes() == cg_embedding_isometry(two_j, t).tobytes(), t
+            assert not got.flags.writeable
+
+    def test_is_an_isometry(self):
+        for two_j, t in ((7, 3), (40, 1), (40, 20)):
+            e = embedding_isometry(two_j, t)
+            assert np.abs(e.T @ e - np.eye(two_j + 1)).max() < 1e-13
+
+    def test_out_of_range_bipartition_rejected(self):
+        for t in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                embedding_isometry(4, t)
+
+
 class TestEigenMixture:
     def test_pure_state(self, rng):
         psi = random_pure(SpinLabel(4), rng)
