@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 
 import numpy as np
 
-from .multipole import MultipoleIndex, _coefficient_items, multipole_operator, multipole_stack
+from .multipole import MultipoleExpansion, MultipoleIndex, multipole_operator, multipole_stack
 from .spin_core import DensityMatrix, SpinLabel, embedding_isometry
 
 ANTICOHERENCE_TOL = 1e-8
@@ -33,11 +33,8 @@ def reduced_state(rho: DensityMatrix, t: int) -> DensityMatrix:
     Clebsch-Gordan embedding followed by a partial trace over the second
     factor.
     """
-    n = rho.spin.qubit_count
-    if not 1 <= t <= n - 1:
-        raise ValueError(f"t must satisfy 1 <= t <= N-1 = {n - 1}, got {t}")
     e = embedding_isometry(rho.spin.two_j, t)
-    da, db = t + 1, n - t + 1
+    da, db = t + 1, rho.spin.qubit_count - t + 1
     big = (e @ rho.matrix @ e.T).reshape(da, db, da, db)
     return DensityMatrix(SpinLabel(t), np.einsum("abcb->ac", big))
 
@@ -126,17 +123,12 @@ def perturbed_anticoherent_state(
     excluded = set(int(L) for L in excluded_sectors)
     if any(L < 1 or L > spin.two_j for L in excluded):
         raise ValueError("excluded sectors must satisfy 1 <= L <= 2j")
-    d = spin.dimension
-    a = np.zeros((d, d), dtype=complex)
-    items = dict(_coefficient_items(coefficients))
-    for idx, c in items.items():
-        idx.validate_for(spin)
+    expansion = MultipoleExpansion(spin, coefficients)
+    for idx in expansion.coefficients:
         if idx.L in excluded or idx.L < 1:
             raise ValueError(f"coefficient at L={idx.L} lies in an excluded or invalid sector")
-        mirror = items.get(MultipoleIndex(idx.L, -idx.M), 0.0)
-        if abs(np.conj(c) - (-1) ** idx.M * mirror) > 1e-12:
-            raise ValueError("coefficients do not define a Hermitian perturbation")
-        a += c * multipole_operator(spin, idx)
+    d = spin.dimension
+    a = expansion.operator()
     if np.abs(a).max() == 0.0:
         return DensityMatrix.maximally_mixed(spin)
     lam_min = float(np.linalg.eigvalsh(a)[0])
@@ -146,9 +138,10 @@ def perturbed_anticoherent_state(
         eps = 1.0 / (d * abs(lam_min))
     else:
         eps = float(epsilon)
-        if eps < 0:
-            raise ValueError("epsilon must be non-negative")
-    return DensityMatrix(spin, np.eye(d, dtype=complex) / d + eps * a)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {eps}")
+    with np.errstate(over="ignore"):  # DensityMatrix rejects an overflowed state
+        return DensityMatrix(spin, np.eye(d, dtype=complex) / d + eps * a)
 
 
 def spin32_two_ac_positivity_bound(c0: float, c1: float, c2: float, phi: float) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import io as rio
 from .metrology import averaged_inverse_qfi_from_form, qfi_quadratic_form
 from .oqr import certify, qcrb_floor, spin2_family, spin2_family_inverse_qfi, spin2_family_purity
-from .spin_core import DensityMatrix, SpinLabel
+from .spin_core import DensityMatrix, SpinLabel, direction
 from .subspaces import (
     STOP_REASONS,
     SearchConfig,
@@ -48,14 +48,7 @@ def _parse_spin(text: str) -> SpinLabel:
 
 
 def _parse_axis(text: str) -> np.ndarray:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("axis must be three comma-separated numbers")
-    v = np.array(parts)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise argparse.ArgumentTypeError("axis must be nonzero")
-    return v / norm
+    return direction([float(x) for x in text.split(",")])
 
 
 def _emit(payload: dict) -> None:

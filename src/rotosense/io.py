@@ -63,6 +63,19 @@ def write_csv(path: Union[str, Path], header: Sequence[str], rows: Sequence[Sequ
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_json(path: Union[str, Path]):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+
+
+def _write_json(path: Union[str, Path], payload: Dict, manifest: Optional["RunManifest"]) -> None:
+    if manifest is not None:
+        payload["manifest"] = manifest.to_dict()
+    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # State files
 # ---------------------------------------------------------------------------
@@ -81,9 +94,7 @@ def save_state(path: Union[str, Path], state: Union[PureState, DensityMatrix],
             "kind": "mixed-matrix",
             "matrix": [_vector_pairs(row) for row in state.matrix],
         }
-    if manifest is not None:
-        payload["manifest"] = manifest.to_dict()
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    _write_json(path, payload, manifest)
 
 
 def load_state(path: Union[str, Path]) -> DensityMatrix:
@@ -91,10 +102,7 @@ def load_state(path: Union[str, Path]) -> DensityMatrix:
 
     Raises ValueError naming the violated invariant for malformed input.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if "two_j" not in data or "kind" not in data:
         raise ValueError("state file must carry 'two_j' and 'kind'")
     spin = SpinLabel(data["two_j"])
@@ -126,9 +134,7 @@ def save_subspace(path: Union[str, Path], frame: SubspaceFrame, t: int,
         "objective": float(objective),
         "seed": seed,
     }
-    if manifest is not None:
-        payload["manifest"] = manifest.to_dict()
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    _write_json(path, payload, manifest)
 
 
 @dataclass(frozen=True)
@@ -140,10 +146,7 @@ class SubspaceFileContent:
 
 
 def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
+    data = _read_json(path)
     spin = SpinLabel(data["two_j"])
     frame = SubspaceFrame(spin, tuple(PureState(spin, _from_pairs(s)) for s in data["basis"]))
     if frame.k != int(data["k"]):
@@ -205,5 +208,5 @@ class RunManifest:
 
     def write_sidecar(self, artifact_path: Union[str, Path]) -> Path:
         side = Path(str(artifact_path) + ".manifest.json")
-        side.write_text(json.dumps(self.finish().to_dict(), indent=1), encoding="utf-8")
+        _write_json(side, self.finish().to_dict(), None)
         return side

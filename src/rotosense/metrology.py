@@ -32,16 +32,10 @@ from .spin_core import (
     angular_momentum_operators,
     component_along,
     rotation_operator,
+    unit_axis,
 )
 
 JENSEN_SLACK = 1e-9
-
-
-def _unit_axis(axis) -> np.ndarray:
-    ax = np.asarray(axis, dtype=float)
-    if ax.shape != (3,) or abs(np.linalg.norm(ax) - 1.0) > 1e-12:
-        raise ValueError("axis must be a unit 3-vector")
-    return ax
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +81,8 @@ def _qfi_pair_weights(lam: np.ndarray) -> np.ndarray:
 
 def qfi(rho: DensityMatrix, axis) -> float:
     """QFI for a rotation about `axis`, from the spectral pair sum."""
-    ax = _unit_axis(axis)
     lam, vec = np.linalg.eigh(rho.matrix)
-    jn = component_along(rho.spin, ax)
+    jn = component_along(rho.spin, axis)
     m = vec.conj().T @ jn @ vec
     p = _qfi_pair_weights(lam)
     return float(2.0 * np.sum(p * np.abs(m) ** 2))
@@ -101,9 +94,8 @@ def qfi_from_moments(rho: DensityMatrix, axis) -> float:
     The correction sum runs over image pairs only.  Kept as an independent
     route through the same definition; tests cross-check it against `qfi`.
     """
-    ax = _unit_axis(axis)
     lam, vec = np.linalg.eigh(rho.matrix)
-    jn = component_along(rho.spin, ax)
+    jn = component_along(rho.spin, axis)
     keep = lam >= DEFAULT_RANK_TOL
     lam_im = lam[keep]
     m_im = (vec.conj().T @ jn @ vec)[np.ix_(keep, keep)]
@@ -133,7 +125,7 @@ class QfiQuadraticForm:
         object.__setattr__(self, "matrix", _readonly((k + k.T).copy() / 2))
 
     def evaluate(self, axis) -> float:
-        ax = _unit_axis(axis)
+        ax = unit_axis(axis)
         return float(ax @ self.matrix @ ax)
 
     def principal_values(self) -> np.ndarray:
@@ -233,7 +225,7 @@ def fidelity_taylor_check(rho: DensityMatrix, axis, etas) -> FidelityTaylorRepor
     Serves as a consistency test between the fidelity and QFI routes; the
     relative residual is O(eta^2) for smooth families.
     """
-    ax = _unit_axis(axis)
+    ax = unit_axis(axis)
     etas = np.asarray(etas, dtype=float)
     if np.any(np.abs(etas) > 0.1):
         raise ValueError("Taylor check is meant for angles |eta| <= 0.1")

@@ -23,9 +23,10 @@ cached.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -46,13 +47,6 @@ class MultipoleIndex:
     def validate_for(self, spin: SpinLabel):
         if self.L > spin.two_j:
             raise ValueError(f"L={self.L} exceeds 2j={spin.two_j}")
-
-
-def _coefficient_items(coefficients: Mapping) -> Iterable[Tuple[MultipoleIndex, complex]]:
-    """(index, value) pairs from a mapping keyed by MultipoleIndex or (L, M) pairs."""
-    for key, value in coefficients.items():
-        idx = key if isinstance(key, MultipoleIndex) else MultipoleIndex(*key)
-        yield idx, complex(value)
 
 
 @lru_cache(maxsize=None)
@@ -115,16 +109,28 @@ class MultipoleExpansion:
     coefficients: Dict[MultipoleIndex, complex] = field(repr=False)
 
     def __post_init__(self):
-        coeffs = dict(_coefficient_items(self.coefficients))
+        coeffs = {key if isinstance(key, MultipoleIndex) else MultipoleIndex(*key): complex(value)
+                  for key, value in dict(self.coefficients).items()}
         for idx, c in coeffs.items():
             idx.validate_for(self.spin)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at (L={idx.L}, M={idx.M}) not finite")
             mirror = coeffs.get(MultipoleIndex(idx.L, -idx.M), 0.0)
             if abs(np.conj(c) - (-1) ** idx.M * mirror) > CONJUGATION_TOL:
                 raise ValueError(
                     f"conjugation symmetry violated at (L={idx.L}, M={idx.M}): "
-                    "rho_LM* must equal (-1)^M rho_L,-M"
+                    "rho_LM* must equal (-1)^M rho_L,-M for a Hermitian operator"
                 )
         object.__setattr__(self, "coefficients", coeffs)
+
+    @classmethod
+    def _of_density_matrix(cls, spin: SpinLabel, coefficients: Dict[MultipoleIndex, complex]):
+        """The expansion of a validated DensityMatrix, not checked again: the coefficient asymmetry
+        its Hermiticity gate admits reaches about sqrt(2j+1) HERMITICITY_TOL > CONJUGATION_TOL."""
+        expansion = object.__new__(cls)
+        object.__setattr__(expansion, "spin", spin)
+        object.__setattr__(expansion, "coefficients", coefficients)
+        return expansion
 
     def coefficient(self, L: int, M: int) -> complex:
         return self.coefficients.get(MultipoleIndex(L, M), 0.0 + 0.0j)
@@ -132,6 +138,26 @@ class MultipoleExpansion:
     def sector_weight(self, L: int) -> float:
         """Sum of |rho_LM|^2 over M for one L."""
         return float(sum(abs(self.coefficient(L, M)) ** 2 for M in range(-L, L + 1)))
+
+    def operator(self) -> np.ndarray:
+        """sum rho_LM T_LM, each diagonal offset summed in the expansion's order into one zero matrix."""
+        two_j = self.spin.two_j
+        d = two_j + 1
+        diagonals: Dict[int, np.ndarray] = {}
+        with np.errstate(over="ignore"):  # an overflowing sum is reported below
+            for idx, c in self.coefficients.items():
+                lo, hi = max(idx.M, 0), min(d, d + idx.M)
+                acc = diagonals.get(idx.M)
+                if acc is None:
+                    acc = diagonals[idx.M] = np.zeros(hi - lo, dtype=complex)
+                acc += c * _sector(two_j, idx.L)[idx.L + idx.M, lo:hi]
+        m = np.zeros((d, d), dtype=complex)
+        for M, acc in diagonals.items():
+            b = np.arange(max(M, 0), min(d, d + M))
+            m[b - M, b] = acc
+        if not np.isfinite(m).all():
+            raise ValueError("operator not finite: a sum of coefficients overflows")
+        return m
 
 
 def expand(rho: DensityMatrix) -> MultipoleExpansion:
@@ -153,26 +179,9 @@ def expand(rho: DensityMatrix) -> MultipoleExpansion:
         table[abs(M):, M + two_j] = terms.sum(axis=-1)
     values = table.tolist()
     coeffs = {MultipoleIndex(L, M): values[L][M + two_j] for L in range(d) for M in range(-L, L + 1)}
-    return MultipoleExpansion(rho.spin, coeffs)
+    return MultipoleExpansion._of_density_matrix(rho.spin, coeffs)
 
 
 def reconstruct(expansion: MultipoleExpansion) -> DensityMatrix:
-    """Sum rho_LM T_LM; raises if the result is not a valid density matrix.
-
-    The terms of each diagonal offset M are summed in the expansion's order
-    and each sum is written into its diagonal of one zero matrix.
-    """
-    two_j = expansion.spin.two_j
-    d = two_j + 1
-    diagonals: Dict[int, np.ndarray] = {}
-    for idx, c in expansion.coefficients.items():
-        lo, hi = max(idx.M, 0), min(d, d + idx.M)
-        acc = diagonals.get(idx.M)
-        if acc is None:
-            acc = diagonals[idx.M] = np.zeros(hi - lo, dtype=complex)
-        acc += c * _sector(two_j, idx.L)[idx.L + idx.M, lo:hi]
-    m = np.zeros((d, d), dtype=complex)
-    for M, acc in diagonals.items():
-        b = np.arange(max(M, 0), min(d, d + M))
-        m[b - M, b] = acc
-    return DensityMatrix(expansion.spin, m)
+    """Sum rho_LM T_LM; raises if the result is not a valid density matrix."""
+    return DensityMatrix(expansion.spin, expansion.operator())

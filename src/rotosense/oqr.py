@@ -17,16 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anticoherence import is_anticoherent
+from .anticoherence import ANTICOHERENCE_TOL, is_anticoherent
 from .metrology import averaged_inverse_qfi_from_form, qfi_quadratic_form
 from .spin_core import DensityMatrix, PureState, SpinLabel, eigen_mixture
-from .subspaces import SubspaceFrame, objective_g_t, spin2_plane, spin3_one_ac_triple
+from .subspaces import SUCCESS_THRESHOLD, SubspaceFrame, objective_g_t, spin2_plane, spin3_one_ac_triple
 
 
 @dataclass(frozen=True)
 class CertificationTolerances:
-    image_g1: float = 1e-10
-    multipole: float = 1e-8
+    image_g1: float = SUCCESS_THRESHOLD
+    multipole: float = ANTICOHERENCE_TOL
 
 
 @dataclass(frozen=True)

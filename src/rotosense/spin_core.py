@@ -32,6 +32,42 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def unit_axis(axis) -> np.ndarray:
+    """`axis` as a float array, checked to be a 3-vector of finite numbers with unit norm within AXIS_TOL."""
+    ax = np.asarray(axis, dtype=float)
+    # hypot, unlike a dot product, cannot overflow; it runs only on finite 3-vectors
+    if ax.shape != (3,) or not np.isfinite(ax).all() or abs(math.hypot(*ax) - 1.0) > AXIS_TOL:
+        raise ValueError(f"axis must be a unit 3-vector of finite numbers, got {ax}")
+    return ax
+
+
+def direction(vector) -> np.ndarray:
+    """The unit vector along a non-zero 3-vector of finite numbers."""
+    v = np.asarray(vector, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"axis must be a non-zero 3-vector of finite numbers whose norm is a float, got {v}")
+    return unit_axis(v / norm)
+
+
+def _finite_angle(angle) -> float:
+    a = float(angle)
+    if not math.isfinite(a) or abs(a) > 2.0 ** 60:
+        raise ValueError(f"rotation angle {a} is not finite or exceeds 2**60, past which floats lie turns apart")
+    return a
+
+
+def check_orthonormal(spin: SpinLabel, states, what: str) -> None:
+    """Raise unless `states` are spin-j states whose amplitude vectors are orthonormal within ORTHONORMALITY_TOL."""
+    if any(s.spin != spin for s in states):
+        raise ValueError(f"{what} states must all have spin {spin}")
+    mat = np.array([s.amplitudes for s in states])
+    dev = float(np.abs(mat @ mat.conj().T - np.eye(len(states))).max())
+    if dev > ORTHONORMALITY_TOL:
+        raise ValueError(f"{what} not orthonormal: deviation {dev:.3e}")
+
+
 @dataclass(frozen=True, order=True)
 class SpinLabel:
     """Spin quantum number j, stored exactly as the integer two_j = 2j."""
@@ -188,19 +224,12 @@ class AxisAngle:
     angle: float
 
     def __post_init__(self):
-        ax = np.asarray(self.axis, dtype=float)
-        if ax.shape != (3,):
-            raise ValueError("axis must be a 3-vector")
-        norm = float(np.linalg.norm(ax))
-        if abs(norm - 1.0) > AXIS_TOL:
-            raise ValueError(f"axis not unit length: |norm - 1| = {abs(norm - 1.0):.3e}")
-        object.__setattr__(self, "axis", _readonly(ax.copy()))
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "axis", _readonly(unit_axis(self.axis).copy()))
+        object.__setattr__(self, "angle", _finite_angle(self.angle))
 
     @classmethod
     def from_vector(cls, axis, angle: float) -> "AxisAngle":
-        ax = np.asarray(axis, dtype=float)
-        return cls(ax / np.linalg.norm(ax), angle)
+        return cls(direction(axis), angle)
 
     def so3_matrix(self) -> np.ndarray:
         """The 3x3 rotation matrix acting on axis vectors (Rodrigues form)."""
@@ -231,12 +260,7 @@ class EigenMixture:
         slack = NORM_TOL + self.spin.dimension * DEFAULT_RANK_TOL
         if abs(w.sum() - 1.0) > slack:
             raise ValueError(f"weights sum to {w.sum():.12g}, expected 1")
-        allstates = list(self.states) + list(self.kernel_states)
-        mat = np.array([s.amplitudes for s in allstates])
-        gram = mat @ mat.conj().T
-        dev = float(np.abs(gram - np.eye(len(allstates))).max())
-        if dev > ORTHONORMALITY_TOL:
-            raise ValueError(f"eigenvectors not orthonormal: deviation {dev:.3e}")
+        check_orthonormal(self.spin, list(self.states) + list(self.kernel_states), "eigenvectors")
         object.__setattr__(self, "weights", _readonly(w.copy()))
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "kernel_states", tuple(self.kernel_states))
@@ -290,9 +314,7 @@ def ladder_operators(spin: SpinLabel):
 
 def component_along(spin: SpinLabel, axis) -> np.ndarray:
     """J_n = n . J for a unit vector n."""
-    ax = np.asarray(axis, dtype=float)
-    if ax.shape != (3,) or abs(np.linalg.norm(ax) - 1.0) > AXIS_TOL:
-        raise ValueError("axis must be a unit 3-vector")
+    ax = unit_axis(axis)
     jx, jy, jz = _jops(spin.two_j)
     return ax[0] * jx + ax[1] * jy + ax[2] * jz
 
@@ -318,8 +340,8 @@ def _euler_eigh(two_j: int):
 def rotation_operator_euler(spin: SpinLabel, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Active z-y-z rotation R_z(alpha) R_y(beta) R_z(gamma)."""
     (lz, vz), (ly, vy) = _euler_eigh(spin.two_j)
-    return (_exp_from_eigh(lz, vz, float(alpha)) @ _exp_from_eigh(ly, vy, float(beta))
-            @ _exp_from_eigh(lz, vz, float(gamma)))
+    return (_exp_from_eigh(lz, vz, _finite_angle(alpha)) @ _exp_from_eigh(ly, vy, _finite_angle(beta))
+            @ _exp_from_eigh(lz, vz, _finite_angle(gamma)))
 
 
 # ---------------------------------------------------------------------------

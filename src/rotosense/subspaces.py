@@ -26,12 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .multipole import multipole_stack
-from .spin_core import (
-    ORTHONORMALITY_TOL,
-    PureState,
-    SpinLabel,
-    rotation_operator_euler,
-)
+from .spin_core import PureState, SpinLabel, check_orthonormal, rotation_operator_euler
 
 SUCCESS_THRESHOLD = 1e-10
 ROTATION_EQUIVALENCE_TOL = 1e-8
@@ -67,13 +62,7 @@ class SubspaceFrame:
         states = tuple(self.basis)
         if not 1 <= len(states) <= self.spin.dimension:
             raise ValueError(f"frame dimension {len(states)} out of range")
-        for s in states:
-            if s.spin != self.spin:
-                raise ValueError("frame states must share the frame spin")
-        mat = np.array([s.amplitudes for s in states])
-        dev = float(np.abs(mat @ mat.conj().T - np.eye(len(states))).max())
-        if dev > ORTHONORMALITY_TOL:
-            raise ValueError(f"frame not orthonormal: deviation {dev:.3e}")
+        check_orthonormal(self.spin, states, "frame")
         object.__setattr__(self, "basis", states)
 
     @classmethod
@@ -120,8 +109,10 @@ class SearchConfig:
     max_iterations: ClassVar[int] = MAX_ITERATIONS
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name, least in (("seed", 0), ("restarts", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +148,6 @@ def objective_g_lm_trace(frame: SubspaceFrame, L: int, M: int) -> float:
 
 def objective_g_t(frame: SubspaceFrame, t: int) -> float:
     """G_t = sum over L = 1..t and all M of the pairwise objective."""
-    if not 1 <= t <= frame.spin.two_j:
-        raise ValueError(f"order t must satisfy 1 <= t <= 2j = {frame.spin.two_j}")
     ts = multipole_stack(frame.spin.two_j, 1, t)
     m = frame.matrix()
     blocks = m @ ts @ m.conj().T
@@ -392,8 +381,6 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
     """
     if not 1 <= k <= spin.dimension:
         raise ValueError(f"k must be in 1..{spin.dimension}")
-    if not 1 <= t <= spin.two_j:
-        raise ValueError(f"t must be in 1..2j = {spin.two_j}")
     ts = multipole_stack(spin.two_j, 1, t)
     d = spin.dimension
     starts = []

@@ -12,7 +12,7 @@ from rotosense.anticoherence import (
     spin32_two_ac_family,
     spin32_two_ac_positivity_bound,
 )
-from rotosense.multipole import MultipoleIndex
+from rotosense.multipole import MultipoleIndex, multipole_operator
 from rotosense.oqr import spin32_ghz, spin3_oqr_family
 from rotosense.spin_core import DensityMatrix, PureState, SpinLabel
 from rotosense.subspaces import catalog
@@ -198,3 +198,36 @@ class TestSpin32Family:
     def test_normalization_gate(self):
         with pytest.raises(ValueError, match="expected 1"):
             spin32_two_ac_family(0.1, 1.0, 1.0, 0.0, 0.0)
+
+
+class TestPerturbationContract:
+    @pytest.mark.parametrize("two_j", [3, 6, 9])
+    def test_matches_the_dense_sum_bit_for_bit(self, two_j, rng):
+        # the series is summed per diagonal offset, in the map's order; the dense
+        # reference adds one full T_LM matrix per coefficient in the same order
+        spin = SpinLabel(two_j)
+        coeffs = {}
+        for L in range(3, two_j + 1):
+            for M in range(0, L + 1):
+                c = complex(rng.normal(), rng.normal() if M else 0.0)
+                coeffs[(L, M)] = c
+                if M:
+                    coeffs[MultipoleIndex(L, -M)] = (-1) ** M * np.conj(c)
+        items = list(coeffs.items())
+        for order in (items, items[::-1], [items[k] for k in rng.permutation(len(items))]):
+            a = np.zeros((spin.dimension,) * 2, dtype=complex)
+            for key, c in order:
+                a += c * multipole_operator(spin, key if isinstance(key, MultipoleIndex) else MultipoleIndex(*key))
+            rho = perturbed_anticoherent_state(spin, {1, 2}, dict(order), epsilon=0.01)
+            want = np.eye(spin.dimension, dtype=complex) / spin.dimension + 0.01 * a
+            assert rho.matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.5])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            perturbed_anticoherent_state(SpinLabel(4), {1}, {(2, 0): 1.0}, epsilon=epsilon)
+
+    def test_tiny_perturbation_at_max_step_rejected(self):
+        # the maximal step 1/((2j+1) |lam_min|) overflows to inf
+        with pytest.raises(ValueError, match="epsilon"):
+            perturbed_anticoherent_state(SpinLabel(4), {1}, {(2, 0): 5e-324})

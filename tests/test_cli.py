@@ -343,3 +343,23 @@ class TestReproduceCommand:
         assert rows[("1", "1")][0] <= 1
         dims = (tmp_path / "construction_dims.csv").read_text().strip().split("\n")
         assert dims[0] == "j,k1,k2"
+
+
+class TestAxisOption:
+    @pytest.mark.parametrize("axis", ["nan,0,1", "inf,0,0", "0,0,0", "1e308,1e308,0", "1,2"])
+    def test_non_finite_or_zero_axis_exits_one_without_warning(self, state_files, capsys, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "qfi", str(state_files["xi07"]), f"--axis={axis}")
+        assert code == 1
+        assert out == ""
+        assert "--axis" in err
+        assert "Traceback" not in err
+
+    def test_axis_is_normalized(self, state_files, capsys):
+        code, out, _ = run(capsys, "qfi", str(state_files["xi07"]), "--axis=3,-4,12")
+        assert code == 0
+        data = json.loads(out)
+        v = np.array([3.0, -4.0, 12.0])
+        assert data["axis"] == list(v / np.linalg.norm(v))
+        assert data["qfi"] == pytest.approx(8.0, abs=1e-9)

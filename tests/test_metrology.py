@@ -396,3 +396,18 @@ class TestFixedAxisOptimum:
             fixed_axis_optimum(SpinLabel(2), [0.6, 0.3])  # not normalized
         with pytest.raises(ValueError):
             fixed_axis_optimum(SpinLabel(1), [0.4, 0.3, 0.3])  # k > dimension
+
+
+class TestAxisContract:
+    @pytest.mark.parametrize("axis", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_every_axis_consumer_rejects(self, axis):
+        rho = spin2_family(0.7)
+        calls = (qfi, qfi_from_moments, lambda r, a: qfi_quadratic_form(r).evaluate(a),
+                 lambda r, a: fidelity_taylor_check(r, a, [0.01]))
+        for call in calls:
+            with pytest.raises(ValueError, match="axis"):
+                call(rho, axis)
+
+    def test_taylor_check_rejects_non_finite_angles(self):
+        with pytest.raises(ValueError, match="angle"):
+            fidelity_taylor_check(spin2_family(0.7), EZ, [0.01, math.nan])

@@ -283,3 +283,30 @@ class TestGathersMatchDenseStack:
         back = reconstruct(expand(rho))
         assert multipole_stack.cache_info() == before
         assert np.abs(back.matrix - rho.matrix).max() < 1e-12
+
+
+class TestExpandAtTheHermiticityGate:
+    @pytest.mark.parametrize("two_j", [4, 10, 40])
+    def test_every_accepted_density_matrix_expands(self, two_j):
+        # an anti-Hermitian part of 0.9e-12 passes DensityMatrix, yet its L = 1
+        # coefficients miss the conjugation symmetry by more than CONJUGATION_TOL
+        d = two_j + 1
+        m = np.eye(d, dtype=complex) / d
+        i = np.arange(d - 1)
+        m[i, i + 1] += 0.45e-12j
+        m[i + 1, i] += 0.45e-12j
+        rho = DensityMatrix(SpinLabel(two_j), m)
+        exp = expand(rho)
+        assert np.abs(reconstruct(exp).matrix - m).max() < 1e-15
+        # a hand-built expansion is still held to CONJUGATION_TOL
+        with pytest.raises(ValueError, match="conjugation"):
+            MultipoleExpansion(rho.spin, exp.coefficients)
+
+    def test_non_finite_and_overflowing_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            MultipoleExpansion(SpinLabel(2), {(0, 0): math.nan})
+        with pytest.raises(ValueError, match="not finite"):
+            MultipoleExpansion(SpinLabel(2), {(1, 0): math.inf})
+        big = MultipoleExpansion(SpinLabel(4), {(2, 0): 1.7e308, (3, 0): 1.7e308, (4, 0): 1.7e308})
+        with pytest.raises(ValueError, match="overflows"):
+            reconstruct(big)

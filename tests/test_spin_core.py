@@ -6,6 +6,7 @@ import pytest
 from rotosense.spin_core import (
     AxisAngle,
     DensityMatrix,
+    EigenMixture,
     PureState,
     SpinLabel,
     angular_momentum_operators,
@@ -16,6 +17,7 @@ from rotosense.spin_core import (
     embedding_isometry,
     rotation_operator,
     rotation_operator_euler,
+    unit_axis,
 )
 from conftest import fraction_clebsch_gordan_2, random_axis, random_density, random_pure
 
@@ -382,3 +384,39 @@ class TestEigenMixture:
         assert len(em.kernel_states) == 4
         proj = em.image_projector() + em.kernel_projector()
         assert np.abs(proj - np.eye(6)).max() < 1e-12
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize("axis", [
+        [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0], [[0.0, 0.0, 1.0]],
+        [1e200, 0.0, 0.0],
+    ])
+    def test_unit_axis_has_one_checker(self, axis):
+        for call in (unit_axis, lambda a: component_along(SpinLabel(2), a), lambda a: AxisAngle(a, 0.1)):
+            with pytest.raises(ValueError, match="axis"):
+                call(axis)
+
+    @pytest.mark.parametrize("vector", [
+        [0.0, 0.0, 0.0], [math.inf, 0.0, 0.0], [math.nan, 0.0, 1.0], [1e200, 1e200, 0.0], [1.0, 2.0],
+    ])
+    def test_from_vector_checks_before_dividing(self, vector):
+        # a division by a zero or infinite norm would warn, and the suite turns warnings into errors
+        with pytest.raises(ValueError, match="axis"):
+            AxisAngle.from_vector(vector, 0.1)
+
+    def test_from_vector_normalizes(self):
+        v = np.array([3.0, -4.0, 12.0])
+        assert AxisAngle.from_vector(v, 0.2).axis.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 1.7e308])
+    def test_angles_must_be_finite(self, angle):
+        with pytest.raises(ValueError, match="angle"):
+            AxisAngle(EZ, angle)
+        for angles in ((angle, 0.0, 0.0), (0.0, angle, 0.0), (0.0, 0.0, angle)):
+            with pytest.raises(ValueError, match="angle"):
+                rotation_operator_euler(SpinLabel(4), *angles)
+
+    def test_eigen_mixture_states_share_its_spin(self):
+        states = (PureState.basis_state(SpinLabel(2), 2),)
+        with pytest.raises(ValueError, match="spin"):
+            EigenMixture(SpinLabel(4), np.array([1.0]), states)

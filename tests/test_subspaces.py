@@ -466,3 +466,17 @@ class TestRotationEquivalence:
     def test_shape_gate(self):
         with pytest.raises(ValueError):
             rotation_equivalent(spin2_plane(), catalog()["(3,3,1)"].frame)
+
+
+class TestSearchConfigContract:
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": True}, {"seed": 1, "restarts": True}, {"seed": -1}, {"seed": 1.0}, {"seed": "1"},
+        {"seed": None}, {"seed": 1, "restarts": 0}, {"seed": 1, "restarts": 2.0},
+    ])
+    def test_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SearchConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = SearchConfig(seed=np.int64(0), restarts=np.int32(3))
+        assert (config.seed, config.restarts) == (0, 3)
