@@ -138,7 +138,11 @@ class PureState:
     @classmethod
     def from_unnormalized(cls, spin: SpinLabel, amplitudes) -> "PureState":
         amp = np.asarray(amplitudes, dtype=complex)
-        return cls(spin, amp / np.linalg.norm(amp))
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amp)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"amplitudes must be a non-zero finite vector whose norm is a float, got norm {norm}")
+        return cls(spin, amp / norm)
 
     @classmethod
     def basis_state(cls, spin: SpinLabel, two_m: int) -> "PureState":
@@ -175,10 +179,11 @@ class DensityMatrix:
             raise ValueError(f"matrix has shape {m.shape}, expected ({d}, {d})")
         if not np.isfinite(m).all():
             raise ValueError("matrix not finite: it holds NaN or infinite entries")
-        herm = float(np.abs(m - m.conj().T).max())
+        with np.errstate(over="ignore"):  # a sum of huge entries reads as inf, not as a warning
+            herm = float(np.abs(m - m.conj().T).max())
+            tr = complex(np.trace(m))
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {herm:.3e}")
-        tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr:.12g}, expected 1 within {TRACE_TOL}")
         lam_min = float(np.linalg.eigvalsh(m)[0])

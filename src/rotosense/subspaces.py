@@ -166,22 +166,18 @@ def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
     """
     g = objective_g_t(frame, t)
     verified = g <= SUCCESS_THRESHOLD
-    if verified and frame.k >= 1:
+    if verified:
         ts = multipole_stack(frame.spin.two_j, 1, t)
-        m = frame.matrix()
         rng = np.random.default_rng(20240000 + 997 * frame.spin.two_j + t)
-        for _ in range(20):
-            c1 = rng.normal(size=frame.k) + 1j * rng.normal(size=frame.k)
-            c2 = rng.normal(size=frame.k) + 1j * rng.normal(size=frame.k)
-            v1 = c1 @ m
-            v2 = c2 @ m
-            v1 /= np.linalg.norm(v1)
-            v2 /= np.linalg.norm(v2)
-            worst = float(np.abs(np.einsum("d,ade,e->a", v1.conj(), ts, v2)).max())
-            # spot-check tolerance scales with the frame gate (amplitudes vs squares)
-            if worst > 10 * math.sqrt(SUCCESS_THRESHOLD):
-                verified = False
-                break
+        # pair i draws c1.real, c1.imag, c2.real, c2.imag in turn, as 4 * 20 draws of k
+        x = rng.normal(size=(20, 2, 2, frame.k))
+        v = (x[:, :, 0] + 1j * x[:, :, 1]) @ frame.matrix()
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        # <v1|T_a|v2> for every pair and operator, as one stacked product
+        v1t = (v[:, 0].conj() @ _wide(ts)).reshape(20, -1, frame.spin.dimension)
+        elements = v1t @ v[:, 1, :, None]
+        # spot-check tolerance scales with the frame gate (amplitudes vs squares)
+        verified = float(np.abs(elements).max()) <= 10 * math.sqrt(SUCCESS_THRESHOLD)
     return SubspaceCertificate(frame, t, g, SUCCESS_THRESHOLD, verified)
 
 
@@ -196,13 +192,25 @@ def _orthonormalize_rows(psi: np.ndarray) -> np.ndarray:
     return (q * phases[..., None, :]).conj().swapaxes(-1, -2)
 
 
-def _trace_objective_and_gradient(psi: np.ndarray, ts: np.ndarray):
-    """sum_ops ||psi T psi^dag||_F^2 and its conjugate-Wirtinger gradient, per frame of a stack."""
-    pt = np.einsum("...kd,ade->...ake", psi, ts)
-    b = np.einsum("...ake,...le->...akl", pt, psi.conj())
-    value = np.sum(np.abs(b) ** 2, axis=(-3, -2, -1))
-    ptd = np.einsum("...kd,aed->...ake", psi, ts.conj())
-    grad = np.einsum("...alk,...ald->...kd", b.conj(), pt) + np.einsum("...akl,...ald->...kd", b, ptd)
+def _wide(ts: np.ndarray) -> np.ndarray:
+    """The (A, d, d) operator stack laid side by side as one (d, A*d) matrix [T_1 T_2 ... T_A]."""
+    return ts.transpose(1, 0, 2).reshape(ts.shape[1], -1)
+
+
+def _trace_objective_and_gradient(psi: np.ndarray, wide: np.ndarray):
+    """sum_a ||psi T_a psi^dag||_F^2 and its conjugate-Wirtinger gradient, per frame of a stack.
+
+    `wide` is `_wide(ts)`.  Three GEMMs per frame: pt holds the rows
+    (psi T_a)[l], ordered (l, a); b = pt psi^dag holds every block
+    B_a = psi T_a psi^dag; the gradient sum_a (B_a^dag psi T_a + B_a psi T_a^dag)
+    is 2 b^dag pt.  Its second term equals the first because the stack holds
+    every M of each L and T_{L,-M} = (-1)^M T_{LM}^dag, so that
+    sum_a B_a psi T_a^dag = sum_a B_a^dag psi T_a.
+    """
+    pt = (psi @ wide).reshape(*psi.shape[:-2], -1, psi.shape[-1])
+    b = pt @ psi.conj().swapaxes(-1, -2)
+    value = np.sum(np.abs(b) ** 2, axis=(-2, -1))
+    grad = 2 * (b.conj().swapaxes(-1, -2) @ pt)
     return value, grad
 
 
@@ -332,9 +340,9 @@ def _restart(psi, f, g, gn2, ts, gate):
     return psi, f, iterations, reason, evaluations
 
 
-def _evaluate(psi, ts):
+def _evaluate(psi, wide):
     """Objective, tangent gradient and its squared norm for each frame of an (R, k, d) stack."""
-    f, g = _trace_objective_and_gradient(psi, ts)
+    f, g = _trace_objective_and_gradient(psi, wide)
     g = _tangent(psi, g)
     return f.tolist(), g, np.sum(np.abs(g) ** 2, axis=(1, 2)).tolist()
 
@@ -348,7 +356,8 @@ def _descend(psi, ts, gate):
     restart's floats are bit for bit those it computes alone.  Returns (psi,
     f, iterations, reasons, evaluations), one entry per restart.
     """
-    restarts = [_restart(*start, ts, gate) for start in zip(psi, *_evaluate(psi, ts))]
+    wide = _wide(ts)
+    restarts = [_restart(*start, ts, gate) for start in zip(psi, *_evaluate(psi, wide))]
     results = [None] * len(restarts)
     replies = dict.fromkeys(range(len(restarts)))  # live restart -> what to send it next
     while replies:
@@ -361,7 +370,7 @@ def _descend(psi, ts, gate):
         replies = {}
         if trials:
             q = _orthonormalize_rows(np.array(list(trials.values())))
-            replies = dict(zip(trials, zip(q, *_evaluate(q, ts))))
+            replies = dict(zip(trials, zip(q, *_evaluate(q, wide))))
     frames, f, iterations, reasons, evaluations = map(list, zip(*results))
     # stacked so that each frame keeps the memory layout _orthonormalize_rows gives it
     return np.array([p.T for p in frames]).swapaxes(1, 2), f, iterations, reasons, evaluations

@@ -81,11 +81,12 @@ def serial_orthonormalize_rows(psi):
 
 
 def serial_objective_and_gradient(psi, ts):
-    pt = np.einsum("kd,ade->ake", psi, ts)
-    b = np.einsum("ake,le->akl", pt, psi.conj())
+    d = psi.shape[1]
+    wide = ts.transpose(1, 0, 2).reshape(d, -1)
+    pt = (psi @ wide).reshape(-1, d)
+    b = pt @ psi.conj().T
     value = float(np.sum(np.abs(b) ** 2))
-    ptd = np.einsum("kd,aed->ake", psi, ts.conj())
-    grad = np.einsum("alk,ald->kd", b.conj(), pt) + np.einsum("akl,ald->kd", b, ptd)
+    grad = 2 * (b.conj().T @ pt)
     return value, grad
 
 

@@ -420,3 +420,28 @@ class TestInputContracts:
         states = (PureState.basis_state(SpinLabel(2), 2),)
         with pytest.raises(ValueError, match="spin"):
             EigenMixture(SpinLabel(4), np.array([1.0]), states)
+
+    @pytest.mark.parametrize("amplitudes", [
+        [0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [1e-200, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0],
+        [1e200j, 1e200, 0.0],
+    ])
+    def test_from_unnormalized_checks_before_dividing(self, amplitudes):
+        # a division by a zero, infinite or NaN norm would warn, and the suite turns warnings into errors
+        with pytest.raises(ValueError, match="norm"):
+            PureState.from_unnormalized(SpinLabel(2), amplitudes)
+
+    def test_from_unnormalized_keeps_the_quotient_bits(self, rng):
+        for scale in (1.0, 1e-150, 1e150):
+            amp = scale * (rng.normal(size=7) + 1j * rng.normal(size=7))
+            state = PureState.from_unnormalized(SpinLabel(6), amp)
+            assert state.amplitudes.tobytes() == (amp / np.linalg.norm(amp)).tobytes()
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1e308, 1e308], [-1e308, 1 - 1e308]], "Hermitian"),
+        ([[1e308, 1e308j], [1e308j, 1.0]], "Hermitian"),
+        ([[1e308, 0.0], [0.0, 1e308]], "trace"),
+    ])
+    def test_density_matrix_huge_entries_raise_cleanly(self, matrix, message):
+        # M - M^dag and the trace overflow here; the check reads them as inf without a warning
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(SpinLabel(1), np.array(matrix))

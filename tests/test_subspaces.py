@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,7 +213,7 @@ class TestDescentEngine:
         residual, jac = subspaces._residual_and_jacobian(psi, ts)
         assert jac.shape == (residual.size, 2 * k * (two_j + 1))
         assert float(residual @ residual) == pytest.approx(
-            subspaces._trace_objective_and_gradient(psi, ts)[0], rel=1e-12)
+            subspaces._trace_objective_and_gradient(psi, subspaces._wide(ts))[0], rel=1e-12)
         h = 1e-6
         for _ in range(6):
             x = rng.normal(size=jac.shape[1])
@@ -325,6 +328,56 @@ class TestLockstepBatch:
         assert frames[0] == 16
         assert len(frames) == max(evaluations)
         assert sum(frames) == sum(evaluations)
+
+    def test_batch_size_independence_holds_on_two_blas_threads(self):
+        # a child interpreter, so that the BLAS thread count is set before numpy loads
+        node = f"{__file__}::TestLockstepBatch::test_matches_serial_oracle[10-2-2-20240004-16]"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(subspaces.__file__)),
+                                                          env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0 and "1 passed" in run.stdout, run.stdout + run.stderr
+
+
+def einsum_objective_and_gradient(psi, ts):
+    """The five-einsum form of the trace objective and gradient: reference for the GEMM kernel."""
+    pt = np.einsum("...kd,ade->...ake", psi, ts)
+    b = np.einsum("...ake,...le->...akl", pt, psi.conj())
+    value = np.sum(np.abs(b) ** 2, axis=(-3, -2, -1))
+    ptd = np.einsum("...kd,aed->...ake", psi, ts.conj())
+    grad = np.einsum("...alk,...ald->...kd", b.conj(), pt) + np.einsum("...akl,...ald->...kd", b, ptd)
+    return value, grad
+
+
+class TestGemmKernel:
+    @pytest.mark.parametrize("two_j, k, t, restarts", [
+        (4, 2, 1, 16), (10, 2, 2, 4), (9, 4, 1, 16), (40, 8, 2, 16), (80, 10, 2, 4),
+    ])
+    def test_matches_einsum_reference(self, two_j, k, t, restarts):
+        ts = multipole_stack(two_j, 1, t)
+        wide = subspaces._wide(ts)
+        psi = seeded_starts(two_j, k, 20240021, restarts)
+        value, grad = subspaces._trace_objective_and_gradient(psi, wide)
+        want_value, want_grad = einsum_objective_and_gradient(psi, ts)
+        assert value.shape == (restarts,) and grad.shape == psi.shape
+        assert np.all(np.abs(value - want_value) <= 1e-13 * want_value)
+        scale = np.abs(want_grad).max(axis=(1, 2))
+        assert np.all(np.abs(grad - want_grad).max(axis=(1, 2)) <= 1e-13 * scale)
+        # frame r of the stack has the bits of a one-frame call on it
+        for r in range(restarts):
+            v, g = subspaces._trace_objective_and_gradient(psi[r], wide)
+            assert v.tobytes() == value[r].tobytes() and g.tobytes() == grad[r].tobytes()
+
+    @pytest.mark.parametrize("two_j", [4, 10, 40])
+    def test_stack_holds_the_mirror_the_gradient_uses(self, two_j):
+        # T_{L,-M} = (-1)^M T_{LM}^dag, so sum_a B_a psi T_a^dag = sum_a B_a^dag psi T_a
+        t = 3
+        ts = multipole_stack(two_j, 1, t)
+        indices = [(L, M) for L in range(1, t + 1) for M in range(-L, L + 1)]
+        for a, (L, M) in enumerate(indices):
+            mirror = ts[indices.index((L, -M))]
+            assert np.array_equal(mirror, (-1) ** M * ts[a].conj().T)  # exactly, up to the sign of zeros
 
 
 class TestBounds:
