@@ -156,40 +156,26 @@ def _cmd_search(args) -> int:
     return EXIT_OK if cert.verified else EXIT_NOT_FOUND
 
 
+def _catalog_row(entry) -> dict:
+    cert = verify_subspace(entry.frame, entry.order_t)
+    return {"name": entry.name, "j": str(entry.frame.spin), "k": entry.frame.k, "t": entry.order_t,
+            "residual": cert.objective_value, "verified": cert.verified}
+
+
 def _cmd_catalog(args) -> int:
     entries = catalog()
     if args.list or not args.get:
-        listing = []
-        for name, entry in sorted(entries.items()):
-            cert = verify_subspace(entry.frame, entry.order_t)
-            listing.append({
-                "name": name,
-                "j": str(entry.frame.spin),
-                "k": entry.frame.k,
-                "t": entry.order_t,
-                "residual": cert.objective_value,
-                "verified": cert.verified,
-            })
-        _emit({"entries": listing})
+        _emit({"entries": [_catalog_row(entry) for _, entry in sorted(entries.items())]})
         return EXIT_OK
     entry = entries.get(args.get)
     if entry is None:
         print(f"error: unknown catalog entry {args.get!r}", file=sys.stderr)
         return EXIT_ERROR
-    cert = verify_subspace(entry.frame, entry.order_t)
+    row = _catalog_row(entry)
     manifest = rio.RunManifest(command="catalog", config={"get": args.get})
     if args.out:
-        rio.save_subspace(args.out, entry.frame, entry.order_t,
-                          cert.objective_value, None, manifest)
-    _emit({
-        "name": entry.name,
-        "j": str(entry.frame.spin),
-        "k": entry.frame.k,
-        "t": entry.order_t,
-        "residual": cert.objective_value,
-        "verified": cert.verified,
-        "manifest": manifest.finish().to_dict(),
-    })
+        rio.save_subspace(args.out, entry.frame, entry.order_t, row["residual"], None, manifest)
+    _emit({**row, "manifest": manifest.finish().to_dict()})
     return EXIT_OK
 
 
@@ -262,16 +248,12 @@ def _reproduce_negativity(outdir: Path, manifest: rio.RunManifest) -> None:
 
 
 def _reproduce_tables(outdir: Path, manifest: rio.RunManifest) -> None:
-    for two_j in (4, 7, 8):
-        frame = construct_one_ac_family(SpinLabel(two_j))
-        cert = verify_subspace(frame, 1)
-        path = outdir / f"one_ac_j{two_j}over2.json"
-        rio.save_subspace(path, frame, 1, cert.objective_value, None)
-    for two_j in (10, 22, 35):
-        frame = construct_two_ac_family(SpinLabel(two_j))
-        cert = verify_subspace(frame, 2)
-        path = outdir / f"two_ac_j{two_j}over2.json"
-        rio.save_subspace(path, frame, 2, cert.objective_value, None)
+    for name, t, construct, two_js in (("one", 1, construct_one_ac_family, (4, 7, 8)),
+                                       ("two", 2, construct_two_ac_family, (10, 22, 35))):
+        for two_j in two_js:
+            frame = construct(SpinLabel(two_j))
+            path = outdir / f"{name}_ac_j{two_j}over2.json"
+            rio.save_subspace(path, frame, t, verify_subspace(frame, t).objective_value, None)
     manifest.write_sidecar(outdir / "tables")
 
 

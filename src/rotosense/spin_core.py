@@ -41,11 +41,20 @@ def unit_axis(axis) -> np.ndarray:
     return ax
 
 
-def direction(vector) -> np.ndarray:
-    """The unit vector along a non-zero 3-vector of finite numbers."""
-    v = np.asarray(vector, dtype=float)
+def _with_norm(v: np.ndarray):
+    """`v` and its 2-norm; `v` is first scaled by a power of two, which is exact, only when the plain norm underflows."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
+    if norm < 2.0 ** -511:  # the square root of the smallest normal float: the sum of squares lost bits
+        exponent = math.frexp(float(np.abs(v).max(initial=0.0)))[1]
+        v = np.ldexp(np.ascontiguousarray(v).view(float), -exponent).view(v.dtype)
+        norm = float(np.linalg.norm(v))
+    return v, norm
+
+
+def direction(vector) -> np.ndarray:
+    """The unit vector along a non-zero 3-vector of finite numbers."""
+    v, norm = _with_norm(np.asarray(vector, dtype=float))
     if not 0.0 < norm < math.inf:
         raise ValueError(f"axis must be a non-zero 3-vector of finite numbers whose norm is a float, got {v}")
     return unit_axis(v / norm)
@@ -137,9 +146,7 @@ class PureState:
 
     @classmethod
     def from_unnormalized(cls, spin: SpinLabel, amplitudes) -> "PureState":
-        amp = np.asarray(amplitudes, dtype=complex)
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(amp)
+        amp, norm = _with_norm(np.asarray(amplitudes, dtype=complex))
         if not 0.0 < norm < math.inf:
             raise ValueError(f"amplitudes must be a non-zero finite vector whose norm is a float, got norm {norm}")
         return cls(spin, amp / norm)

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .multipole import multipole_stack
-from .spin_core import PureState, SpinLabel, check_orthonormal, rotation_operator_euler
+from .spin_core import PureState, SpinLabel, angular_momentum_operators, check_orthonormal, rotation_operator_euler
 
 SUCCESS_THRESHOLD = 1e-10
 ROTATION_EQUIVALENCE_TOL = 1e-8
@@ -109,10 +109,13 @@ class SearchConfig:
     max_iterations: ClassVar[int] = MAX_ITERATIONS
 
     def __post_init__(self):
-        for name, least in (("seed", 0), ("restarts", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_count("seed", self.seed, 0)
+        _check_count("restarts", self.restarts, 1)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +123,9 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 
 def _pair_sum(b: np.ndarray) -> float:
-    """sum_{a <= b} |B_ab|^2 for one operator block."""
-    k = b.shape[0]
-    iu = np.triu_indices(k)
-    return float(np.sum(np.abs(b[iu]) ** 2))
+    """sum_{a <= b} |B_ab|^2 over one operator block or a stack of them."""
+    iu = np.triu_indices(b.shape[-1])
+    return float(np.sum(np.abs(b[..., iu[0], iu[1]]) ** 2))
 
 
 def objective_g_lm(frame: SubspaceFrame, L: int, M: int) -> float:
@@ -148,12 +150,8 @@ def objective_g_lm_trace(frame: SubspaceFrame, L: int, M: int) -> float:
 
 def objective_g_t(frame: SubspaceFrame, t: int) -> float:
     """G_t = sum over L = 1..t and all M of the pairwise objective."""
-    ts = multipole_stack(frame.spin.two_j, 1, t)
     m = frame.matrix()
-    blocks = m @ ts @ m.conj().T
-    k = frame.k
-    iu = np.triu_indices(k)
-    return float(np.sum(np.abs(blocks[:, iu[0], iu[1]]) ** 2))
+    return _pair_sum(m @ multipole_stack(frame.spin.two_j, 1, t) @ m.conj().T)
 
 
 def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
@@ -567,6 +565,14 @@ class RotationEquivalence:
     euler_angles: Tuple[float, float, float]
 
 
+def _turn_jacobian(spin: SpinLabel, x: np.ndarray, angles) -> np.ndarray:
+    """The derivatives of -X, X = R p R^dag, in the Euler angles of R: i [n.J, X], n the axis each turns about."""
+    (sa, sb), (ca, cb) = np.sin(angles[:2]), np.cos(angles[:2])
+    axes = [[0.0, 0.0, 1.0], [-sa, ca, 0.0], [sb * ca, sb * sa, cb]]
+    gens = np.tensordot(axes, np.array(angular_momentum_operators(spin)), 1)
+    return 1j * (gens @ x - x @ gens)
+
+
 def rotation_equivalent(
     frame_a: SubspaceFrame,
     frame_b: SubspaceFrame,
@@ -577,12 +583,20 @@ def rotation_equivalent(
 ) -> RotationEquivalence:
     """Test whether two frames span globally rotated copies of one subspace.
 
-    Minimizes ||Pi_A - R(alpha,beta,gamma) Pi_B R^dag||_F over Euler angles
-    with multi-start local optimization.  When `t` is given, both frames are
-    required to certify at that order first.
+    Minimizes ||Pi_A - R Pi_B R^dag||_F over the Euler angles of
+    R = R_z(alpha) R_y(beta) R_z(gamma) by Levenberg-Marquardt on the exact
+    Jacobian, from the identity and then from seeded uniform angles, up to
+    `starts` runs, stopping once the residual is below tolerance / 100.  The
+    returned angles are any minimizer with the smallest residual found (a
+    symmetric subspace has many) and reproduce that residual exactly.  When
+    `t` is given, both frames are required to certify at that order first.
     """
     if frame_a.spin != frame_b.spin or frame_a.k != frame_b.k:
         raise ValueError("frames must share spin and dimension")
+    _check_count("seed", seed, 0)
+    _check_count("starts", starts, 1)
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     if t is not None:
         for f in (frame_a, frame_b):
             if not verify_subspace(f, t).verified:
@@ -591,24 +605,27 @@ def rotation_equivalent(
     pb = frame_b.projector()
     spin = frame_a.spin
 
-    def residual(angles):
+    def turned(angles):
         r = rotation_operator_euler(spin, *angles)
-        return float(np.linalg.norm(pa - r @ pb @ r.conj().T))
+        return r @ pb @ r.conj().T
+
+    def residual(angles):
+        return (pa - turned(angles)).view(float).ravel()
+
+    def jacobian(angles):
+        return _turn_jacobian(spin, turned(angles), angles).view(float).reshape(3, -1).T
 
     rng = np.random.default_rng(seed)
-    best_val = residual((0.0, 0.0, 0.0))
     best_angles = (0.0, 0.0, 0.0)
+    best_val = float(np.linalg.norm(pa - turned(best_angles)))
     for start in range(starts):
         if best_val <= tolerance / 100:
             break
         x0 = np.zeros(3) if start == 0 else rng.uniform(0.0, 2 * math.pi, size=3)
-        res = minimize(
-            residual, x0, method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_angles = tuple(float(x) for x in res.x)
+        angles = tuple(float(x) for x in least_squares(residual, x0, jac=jacobian, method="lm").x)
+        val = float(np.linalg.norm(pa - turned(angles)))
+        if val < best_val:
+            best_val, best_angles = val, angles
     return RotationEquivalence(best_val <= tolerance, best_val, best_angles)
 
 

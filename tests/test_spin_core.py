@@ -13,6 +13,7 @@ from rotosense.spin_core import (
     clebsch_gordan,
     clebsch_gordan_2,
     component_along,
+    direction,
     eigen_mixture,
     embedding_isometry,
     rotation_operator,
@@ -405,8 +406,10 @@ class TestInputContracts:
             AxisAngle.from_vector(vector, 0.1)
 
     def test_from_vector_normalizes(self):
-        v = np.array([3.0, -4.0, 12.0])
-        assert AxisAngle.from_vector(v, 0.2).axis.tobytes() == (v / np.linalg.norm(v)).tobytes()
+        # the norm of the 1e-150 vector is above 2**-511, below which it would be rescaled
+        for scale in (1.0, 1e-150, 1e150):
+            v = scale * np.array([3.0, -4.0, 12.0])
+            assert AxisAngle.from_vector(v, 0.2).axis.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 1.7e308])
     def test_angles_must_be_finite(self, angle):
@@ -422,7 +425,7 @@ class TestInputContracts:
             EigenMixture(SpinLabel(4), np.array([1.0]), states)
 
     @pytest.mark.parametrize("amplitudes", [
-        [0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [1e-200, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0],
+        [0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [5e-324, math.nan, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0],
         [1e200j, 1e200, 0.0],
     ])
     def test_from_unnormalized_checks_before_dividing(self, amplitudes):
@@ -435,6 +438,24 @@ class TestInputContracts:
             amp = scale * (rng.normal(size=7) + 1j * rng.normal(size=7))
             state = PureState.from_unnormalized(SpinLabel(6), amp)
             assert state.amplitudes.tobytes() == (amp / np.linalg.norm(amp)).tobytes()
+
+    @pytest.mark.parametrize("vector", [[1e-160, 0.0, 0.0], [1e-200, 0.0, 0.0], [0.0, -5e-324, 0.0]])
+    def test_tiny_direction_is_rescaled_not_rejected(self, vector):
+        # the plain norm squares these into subnormals or zero; a power-of-two rescale is exact
+        expected = np.sign(vector)
+        assert direction(vector).tobytes() == expected.tobytes()
+        assert AxisAngle.from_vector(vector, 0.1).axis.tobytes() == expected.tobytes()
+
+    def test_tiny_direction_keeps_its_direction(self):
+        v = np.array([3.0, -4.0, 12.0])
+        assert direction(1e-160 * v) == pytest.approx(v / 13.0, abs=1e-15)
+
+    def test_tiny_state_is_rescaled_not_rejected(self):
+        assert PureState.from_unnormalized(SpinLabel(2), [1e-200, 0.0, 0.0]).amplitudes.tobytes() == (
+            np.array([1.0, 0.0, 0.0], dtype=complex).tobytes())
+        amp = np.array([1e-160j, 3e-160 - 4e-160j, 5e-324])
+        state = PureState.from_unnormalized(SpinLabel(2), amp)
+        np.testing.assert_allclose(state.amplitudes, np.array([1j, 3 - 4j, 0.0]) / math.sqrt(26), atol=1e-15)
 
     @pytest.mark.parametrize("matrix, message", [
         ([[1e308, 1e308], [-1e308, 1 - 1e308]], "Hermitian"),

@@ -514,11 +514,61 @@ class TestRotationEquivalence:
         b = catalog()["(5/2,2,1)-V2"].frame
         eq = rotation_equivalent(a, b, starts=12)
         assert not eq.equivalent
-        assert eq.residual > 1e-2
+        assert abs(eq.residual - 0.684804) <= 1e-6
 
     def test_shape_gate(self):
         with pytest.raises(ValueError):
             rotation_equivalent(spin2_plane(), catalog()["(3,3,1)"].frame)
+
+    @pytest.mark.parametrize("name", ["(2,2,1)", "(5/2,2,1)-V1", "(3,3,1)", "(7/2,2,2)", "(5,2,2)"])
+    def test_randomly_rotated_frame_is_found(self, name):
+        frame = catalog()[name].frame
+        angles = np.random.default_rng(20241018).uniform(0.0, 2 * math.pi, size=3)
+        r = rotation_operator_euler(frame.spin, *angles)
+        turned = SubspaceFrame.from_amplitudes(frame.spin, frame.matrix() @ r.T)
+        eq = rotation_equivalent(frame, turned)
+        assert eq.equivalent
+        assert eq.residual <= 1e-12
+
+    @pytest.mark.parametrize("names", [("(2,2,1)", "(2,2,1)-rotated"), ("(5/2,2,1)-V1", "(5/2,2,1)-V2")])
+    def test_angles_reproduce_residual(self, names):
+        a, b = (catalog()[n].frame for n in names)
+        eq = rotation_equivalent(a, b, starts=4)
+        r = rotation_operator_euler(a.spin, *eq.euler_angles)
+        assert float(np.linalg.norm(a.projector() - r @ b.projector() @ r.conj().T)) == eq.residual
+
+    def test_pure_z_rotation_found_from_gimbal_lock(self):
+        # the identity start sits at beta = 0, where the alpha and gamma columns coincide
+        frame = catalog()["(3,3,1)"].frame
+        r = rotation_operator_euler(frame.spin, 0.7, 0.0, 0.0)
+        eq = rotation_equivalent(frame, SubspaceFrame.from_amplitudes(frame.spin, frame.matrix() @ r.T), starts=1)
+        assert eq.residual <= 1e-12
+
+    def test_jacobian_matches_central_differences(self):
+        frame = catalog()["(7/2,2,2)"].frame
+        p = frame.projector()
+
+        def turned(angles):
+            r = rotation_operator_euler(frame.spin, *angles)
+            return r @ p @ r.conj().T
+
+        angles = np.array([0.4, 1.1, -2.3])
+        jac = subspaces._turn_jacobian(frame.spin, turned(angles), angles)
+        h = 1e-6
+        for k in range(3):
+            step = h * np.eye(3)[k]
+            numeric = -(turned(angles + step) - turned(angles - step)) / (2 * h)
+            assert np.abs(jac[k] - numeric).max() <= 1e-9
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"starts": 2.5}, "starts"), ({"starts": 0}, "starts"), ({"starts": -3}, "starts"),
+        ({"starts": True}, "starts"), ({"seed": True}, "seed"), ({"seed": -1}, "seed"), ({"seed": 1.0}, "seed"),
+        ({"tolerance": math.nan}, "tolerance"), ({"tolerance": math.inf}, "tolerance"),
+        ({"tolerance": 0.0}, "tolerance"), ({"tolerance": -1e-8}, "tolerance"),
+    ])
+    def test_argument_contract(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            rotation_equivalent(spin2_plane(), spin2_plane(), **kwargs)
 
 
 class TestSearchConfigContract:
