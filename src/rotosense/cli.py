@@ -216,7 +216,7 @@ def _reproduce_kmax(outdir: Path, manifest: rio.RunManifest, seed: int, restarts
     manifest.write_sidecar(path)
 
     rows = []
-    for two_j in range(2, max(max_two_j, 2) + 1):
+    for two_j in range(2, max_two_j + 1):
         spin = SpinLabel(two_j)
         k1 = one_ac_family_dimension(spin)
         k2 = two_ac_family_dimension(spin) if two_j >= 10 else 0

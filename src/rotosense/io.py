@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from .spin_core import DensityMatrix, PureState, SpinLabel
-from .subspaces import SubspaceFrame
+from .subspaces import SubspaceFrame, _check_count
 
 TOOL_VERSION = "rotosense 0.1.0"
 
@@ -146,12 +146,18 @@ class SubspaceFileContent:
 
 
 def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
+    """Read a subspace file; `k` and `t` must be integers >= 1 and `objective` a number."""
     data = _read_json(path)
     spin = SpinLabel(data["two_j"])
     frame = SubspaceFrame(spin, tuple(PureState(spin, _from_pairs(s)) for s in data["basis"]))
-    if frame.k != int(data["k"]):
+    _check_count("k", data["k"], 1)
+    _check_count("t", data["t"], 1)
+    if frame.k != data["k"]:
         raise ValueError(f"declared k={data['k']} but file holds {frame.k} states")
-    return SubspaceFileContent(frame, int(data["t"]), float(data["objective"]), data.get("seed"))
+    objective = data["objective"]
+    if not isinstance(objective, (int, float)) or isinstance(objective, bool):
+        raise ValueError(f"objective must be a number, got {objective!r}")
+    return SubspaceFileContent(frame, data["t"], float(objective), data.get("seed"))
 
 
 # ---------------------------------------------------------------------------

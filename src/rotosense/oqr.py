@@ -31,8 +31,6 @@ class CertificationTolerances:
 
 @dataclass(frozen=True)
 class OqrVerdict:
-    is_oqr_fidelity: bool
-    is_oqr_qcrb: bool
     image_frame: SubspaceFrame
     image_g1: float
     anticoherence_order2_violation: float
@@ -41,9 +39,17 @@ class OqrVerdict:
     qcrb: float
     tolerances: CertificationTolerances
 
+    @property
+    def is_oqr_fidelity(self) -> bool:
+        """The image is a 1-AC subspace: G_1 at the gate."""
+        return self.image_g1 <= self.tolerances.image_g1
+
+    @property
+    def is_oqr_qcrb(self) -> bool:
+        """Fidelity-grade, and the state is 2-AC: its L = 1, 2 multipoles vanish."""
+        return self.is_oqr_fidelity and self.anticoherence_order2_violation <= self.tolerances.multipole
+
     def __post_init__(self):
-        if self.is_oqr_qcrb and not self.is_oqr_fidelity:
-            raise ValueError("QCRB-grade verdict requires the fidelity-grade condition")
         if self.is_oqr_qcrb:
             j = self.image_frame.spin.j
             ceiling = 4.0 * j * (j + 1.0) / 3.0
@@ -71,18 +77,13 @@ def certify(rho: DensityMatrix) -> OqrVerdict:
     g1 = objective_g_t(frame, 1) if rho.spin.two_j >= 1 else math.inf
     check2 = is_anticoherent(rho, 2, tol.multipole)
     form = qfi_quadratic_form(rho)
-    fidelity_grade = g1 <= tol.image_g1
-    qcrb_grade = fidelity_grade and check2.holds
-    qcrb_value = averaged_inverse_qfi_from_form(form)
     return OqrVerdict(
-        is_oqr_fidelity=fidelity_grade,
-        is_oqr_qcrb=qcrb_grade,
         image_frame=frame,
         image_g1=float(g1),
         anticoherence_order2_violation=check2.max_violation,
         isotropy_gap=form.isotropy_gap,
         averaged_qfi=form.averaged,
-        qcrb=qcrb_value,
+        qcrb=averaged_inverse_qfi_from_form(form),
         tolerances=tol,
     )
 

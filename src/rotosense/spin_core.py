@@ -252,16 +252,11 @@ class AxisAngle:
 
 @dataclass(frozen=True)
 class EigenMixture:
-    """Spectral decomposition of a density matrix, split at a rank tolerance.
-
-    `weights`/`states` hold the image (descending weights); `kernel_states`
-    complete the orthonormal eigenbasis.
-    """
+    """The image of a density matrix: its eigenvectors above a rank tolerance, by descending weight."""
 
     spin: SpinLabel
     weights: np.ndarray
     states: tuple
-    kernel_states: tuple = ()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -272,10 +267,9 @@ class EigenMixture:
         slack = NORM_TOL + self.spin.dimension * DEFAULT_RANK_TOL
         if abs(w.sum() - 1.0) > slack:
             raise ValueError(f"weights sum to {w.sum():.12g}, expected 1")
-        check_orthonormal(self.spin, list(self.states) + list(self.kernel_states), "eigenvectors")
+        check_orthonormal(self.spin, self.states, "eigenvectors")
         object.__setattr__(self, "weights", _readonly(w.copy()))
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "kernel_states", tuple(self.kernel_states))
 
     @property
     def rank(self) -> int:
@@ -456,8 +450,8 @@ def embedding_isometry(two_j: int, t: int) -> np.ndarray:
 def eigen_mixture(rho: DensityMatrix) -> EigenMixture:
     """Eigendecomposition of rho with weights sorted descending.
 
-    Eigenvalues below DEFAULT_RANK_TOL are reported as kernel; the retained
-    count defines the rank.
+    Eigenvalues below DEFAULT_RANK_TOL belong to the kernel, which is not
+    kept; the retained count defines the rank.
     """
     lam, vec = np.linalg.eigh(rho.matrix)
     order = np.argsort(lam)[::-1]
@@ -465,5 +459,4 @@ def eigen_mixture(rho: DensityMatrix) -> EigenMixture:
     vec = vec[:, order]
     keep = lam >= DEFAULT_RANK_TOL
     states = tuple(PureState.from_unnormalized(rho.spin, vec[:, i]) for i in range(len(lam)) if keep[i])
-    kernel = tuple(PureState.from_unnormalized(rho.spin, vec[:, i]) for i in range(len(lam)) if not keep[i])
-    return EigenMixture(rho.spin, lam[keep], states, kernel)
+    return EigenMixture(rho.spin, lam[keep], states)

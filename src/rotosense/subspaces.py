@@ -92,11 +92,10 @@ class SubspaceCertificate:
     order_t: int
     objective_value: float
     tolerance: float
-    verified: bool
 
-    def __post_init__(self):
-        if self.verified != (self.objective_value <= self.tolerance):
-            raise ValueError("verified flag inconsistent with objective value")
+    @property
+    def verified(self) -> bool:
+        return self.objective_value <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -155,28 +154,17 @@ def objective_g_t(frame: SubspaceFrame, t: int) -> float:
 
 
 def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
-    """Certificate for the frame at order t, with a random-vector spot check.
+    """Certificate for the frame at order t, gated on G_t <= SUCCESS_THRESHOLD.
 
-    The frame objective is gated on SUCCESS_THRESHOLD.  Besides it, 20
-    deterministic pseudo-random unit-vector pairs in the span are tested
-    directly for vanishing T_LM matrix elements (the all-pairs
-    characterization of an anticoherent subspace).
+    The gate covers every pair of unit vectors in the span, not only the
+    frame.  Unit vectors v1, v2 with coefficients c1, c2 in the frame have
+    |<v1|T_LM|v2>| = |c1^dag B c2| <= ||B||_F, B the frame block of T_LM.  An
+    element of B below its diagonal is, up to sign and conjugation, one above
+    the diagonal of the T_{L,-M} block, since T_{L,-M} = (-1)^M T_LM^dag; so
+    the blocks of all L <= t and M have sum ||B||_F^2 <= 2 G_t, and on a
+    certified frame every such element is at most sqrt(2 G_t) <= 1.42e-5.
     """
-    g = objective_g_t(frame, t)
-    verified = g <= SUCCESS_THRESHOLD
-    if verified:
-        ts = multipole_stack(frame.spin.two_j, 1, t)
-        rng = np.random.default_rng(20240000 + 997 * frame.spin.two_j + t)
-        # pair i draws c1.real, c1.imag, c2.real, c2.imag in turn, as 4 * 20 draws of k
-        x = rng.normal(size=(20, 2, 2, frame.k))
-        v = (x[:, :, 0] + 1j * x[:, :, 1]) @ frame.matrix()
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        # <v1|T_a|v2> for every pair and operator, as one stacked product
-        v1t = (v[:, 0].conj() @ _wide(ts)).reshape(20, -1, frame.spin.dimension)
-        elements = v1t @ v[:, 1, :, None]
-        # spot-check tolerance scales with the frame gate (amplitudes vs squares)
-        verified = float(np.abs(elements).max()) <= 10 * math.sqrt(SUCCESS_THRESHOLD)
-    return SubspaceCertificate(frame, t, g, SUCCESS_THRESHOLD, verified)
+    return SubspaceCertificate(frame, t, objective_g_t(frame, t), SUCCESS_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +578,10 @@ def rotation_equivalent(
     returned angles are any minimizer with the smallest residual found (a
     symmetric subspace has many) and reproduce that residual exactly.  When
     `t` is given, both frames are required to certify at that order first.
+    "Not equivalent" means that no start reached the tolerance, not that no
+    rotation exists: the residual has many local minima at larger spin, and
+    at the default 24 starts 6 of 10 randomly rotated copies of the (7,3,2)
+    catalog frame are missed.
     """
     if frame_a.spin != frame_b.spin or frame_a.k != frame_b.k:
         raise ValueError("frames must share spin and dimension")

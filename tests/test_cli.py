@@ -79,6 +79,31 @@ class TestStateIo:
             rio.load_state(p)
 
 
+class TestSubspaceIo:
+    @pytest.fixture
+    def plane_payload(self, tmp_path):
+        from rotosense.subspaces import spin2_plane
+
+        p = tmp_path / "plane.json"
+        rio.save_subspace(p, spin2_plane(), 1, 0.0, 3)
+        return json.loads(p.read_text())
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t", 1.7, "t must be an integer"), ("t", True, "t must be an integer"),
+        ("t", 0, "t must be an integer"), ("t", -3, "t must be an integer"),
+        ("t", None, "t must be an integer"), ("t", "1", "t must be an integer"),
+        ("k", 2.9, "k must be an integer"), ("k", 2.0, "k must be an integer"),
+        ("k", 0, "k must be an integer"), ("k", 3, "declared k=3"),
+        ("objective", None, "objective must be a number"), ("objective", "0", "objective must be a number"),
+        ("objective", False, "objective must be a number"),
+    ])
+    def test_malformed_counts_and_objective_rejected(self, tmp_path, plane_payload, key, value, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**plane_payload, key: value}))
+        with pytest.raises(ValueError, match=message):
+            rio.load_subspace(p)
+
+
 class TestQfiCommand:
     def test_averaged_inverse_of_plane_mixture(self, state_files, capsys):
         code, out, _ = run(capsys, "qfi", str(state_files["xi07"]), "--averaged-inverse")
@@ -343,6 +368,15 @@ class TestReproduceCommand:
         assert rows[("1", "1")][0] <= 1
         dims = (tmp_path / "construction_dims.csv").read_text().strip().split("\n")
         assert dims[0] == "j,k1,k2"
+
+    def test_kmax_target_spin_half_cap(self, tmp_path, capsys):
+        # below j = 1 no scan runs and no construction dimension is tabulated
+        code, _, err = run(capsys, "reproduce", "--target", "kmax", "--out", str(tmp_path),
+                           "--max-j", "1/2", "--restarts", "8", "--seed", "5")
+        assert code == 0
+        assert err == ""
+        assert (tmp_path / "kmax.csv").read_text() == "j,t,k_found,bound\n"
+        assert (tmp_path / "construction_dims.csv").read_text() == "j,k1,k2\n"
 
 
 class TestAxisOption:

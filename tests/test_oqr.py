@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -82,6 +83,19 @@ class TestCertify:
             j = rho.spin.j
             floor = 3 / (4 * j * (j + 1))
             assert v.qcrb == pytest.approx(floor, rel=1e-8)
+
+    def test_grades_are_read_off_the_recorded_numbers(self):
+        v = certify(spin2_family(0.7))
+        assert v.is_oqr_fidelity and v.is_oqr_qcrb
+        not_one_ac = dataclasses.replace(v, image_g1=1.0)
+        assert not not_one_ac.is_oqr_fidelity and not not_one_ac.is_oqr_qcrb
+        not_two_ac = dataclasses.replace(v, anticoherence_order2_violation=1.0)
+        assert not_two_ac.is_oqr_fidelity and not not_two_ac.is_oqr_qcrb
+
+    def test_qcrb_grade_requires_the_maximal_averaged_qfi(self):
+        v = certify(spin2_family(0.7))
+        with pytest.raises(ValueError, match="maximal averaged QFI"):
+            dataclasses.replace(v, averaged_qfi=0.9 * v.averaged_qfi)
 
     def test_route_consistency_on_oqr_families(self, rng):
         for lam1 in rng.uniform(0, 2 / 3, size=5):

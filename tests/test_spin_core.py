@@ -382,7 +382,6 @@ class TestEigenMixture:
         rho = random_density(SpinLabel(5), rng, rank=2)
         em = eigen_mixture(rho)
         assert em.rank == 2
-        assert len(em.kernel_states) == 4
         proj = em.image_projector() + em.kernel_projector()
         assert np.abs(proj - np.eye(6)).max() < 1e-12
 

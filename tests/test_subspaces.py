@@ -15,6 +15,7 @@ from rotosense.subspaces import (
     STOP_REASONS,
     SUCCESS_THRESHOLD,
     SearchConfig,
+    SubspaceCertificate,
     SubspaceFrame,
     catalog,
     construct_one_ac_family,
@@ -152,6 +153,34 @@ class TestVerify:
         for name, entry in catalog().items():
             cert = verify_subspace(entry.frame, entry.order_t)
             assert cert.verified, (name, cert.objective_value)
+
+    def test_verified_is_read_off_the_objective(self):
+        frame = spin2_plane()
+        assert SubspaceCertificate(frame, 1, SUCCESS_THRESHOLD, SUCCESS_THRESHOLD).verified
+        assert not SubspaceCertificate(frame, 1, 2e-10, SUCCESS_THRESHOLD).verified
+
+    @pytest.mark.parametrize("name", list(catalog()))
+    def test_gate_bounds_every_pair_in_the_span(self, name, rng):
+        # |<v1|T_LM|v2>| <= ||B||_F <= sqrt(2 G_t) for unit v1, v2 in the span
+        entry = catalog()[name]
+        spin, t, m = entry.frame.spin, entry.order_t, entry.frame.matrix()
+        x = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+
+        def perturbed(eps):
+            q, _ = np.linalg.qr((m + eps * x).T)
+            return SubspaceFrame.from_amplitudes(spin, q.T)
+
+        # G_t grows as eps^2 near a zero: aim just under the gate
+        eps = 1e-4 * math.sqrt(0.9 * SUCCESS_THRESHOLD / objective_g_t(perturbed(1e-4), t))
+        frame = perturbed(eps)
+        g = objective_g_t(frame, t)
+        assert 0.5 * SUCCESS_THRESHOLD < g <= SUCCESS_THRESHOLD
+        assert verify_subspace(frame, t).verified
+        c = rng.normal(size=(2, 500, frame.k)) + 1j * rng.normal(size=(2, 500, frame.k))
+        v = c @ frame.matrix()
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        elements = np.einsum("pd,ade,pe->ap", v[0].conj(), multipole_stack(spin.two_j, 1, t), v[1])
+        assert np.abs(elements).max() <= math.sqrt(2 * g)
 
 
 class TestSearch:
