@@ -61,7 +61,7 @@ def _load_state_or_exit(path: str, manifest: rio.RunManifest) -> DensityMatrix:
         rho = rio.load_state(path)
         manifest.add_input(path)
         return rho
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: invalid state file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
 

@@ -34,13 +34,14 @@ def _vector_pairs(v: np.ndarray) -> List[List[float]]:
     return [_pair(z) for z in v]
 
 
-def _from_pairs(pairs) -> np.ndarray:
+def _from_pairs(pairs, depth: int = 1) -> np.ndarray:
+    """Complex array from [re, im] pairs nested in `depth` levels of lists."""
     arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("expected a list of [re, im] pairs")
-    re, im = arr[:, 0], arr[:, 1]
+    if arr.ndim != depth + 1 or arr.shape[-1] != 2:
+        raise ValueError("expected " + "a list of " * depth + "[re, im] pairs")
+    re, im = arr[..., 0], arr[..., 1]
     # the bits of re + 1j * im, without its 0 * im, which warns on an infinite im
-    return np.stack([re + np.copysign(0.0, im), im + 0.0], axis=-1).view(complex)[:, 0]
+    return np.stack([re + np.copysign(0.0, im), im + 0.0], axis=-1).view(complex)[..., 0]
 
 
 def format_float(x: float) -> str:
@@ -63,11 +64,26 @@ def write_csv(path: Union[str, Path], header: Sequence[str], rows: Sequence[Sequ
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Union[str, Path]):
+def _read_json(path: Union[str, Path]) -> Dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _field(data: Dict, name: str, parse=None):
+    """data[name], or parse(data[name]); a missing field, or one parse rejects, raises ValueError naming it."""
+    if name not in data:
+        raise ValueError(f"missing field {name!r}")
+    if parse is None:
+        return data[name]
+    try:
+        return parse(data[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None
 
 
 def _write_json(path: Union[str, Path], payload: Dict, manifest: Optional["RunManifest"]) -> None:
@@ -103,19 +119,16 @@ def load_state(path: Union[str, Path]) -> DensityMatrix:
     Raises ValueError naming the violated invariant for malformed input.
     """
     data = _read_json(path)
-    if "two_j" not in data or "kind" not in data:
-        raise ValueError("state file must carry 'two_j' and 'kind'")
-    spin = SpinLabel(data["two_j"])
-    kind = data["kind"]
+    spin = SpinLabel(_field(data, "two_j"))
+    kind = _field(data, "kind")
     if kind == "pure":
-        return PureState(spin, _from_pairs(data["amplitudes"])).density_matrix()
+        return _field(data, "amplitudes", lambda a: PureState(spin, _from_pairs(a))).density_matrix()
     if kind == "mixed-eigen":
-        weights = np.asarray(data["weights"], dtype=float)
-        states = [PureState(spin, _from_pairs(s)) for s in data["states"]]
+        weights = _field(data, "weights", lambda w: np.asarray(w, dtype=float))
+        states = _field(data, "states", lambda rows: [PureState(spin, a) for a in _from_pairs(rows, 2)])
         return DensityMatrix.from_mixture(weights, states)
     if kind == "mixed-matrix":
-        rows = [_from_pairs(row) for row in data["matrix"]]
-        return DensityMatrix(spin, np.array(rows))
+        return DensityMatrix(spin, _field(data, "matrix", lambda m: _from_pairs(m, 2)))
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -146,18 +159,23 @@ class SubspaceFileContent:
 
 
 def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
-    """Read a subspace file; `k` and `t` must be integers >= 1 and `objective` a number."""
+    """Read a subspace file; `k` and `t` must be integers >= 1, `objective` a
+    number and `seed` null or an integer >= 0 (a file without `seed` reads as null)."""
     data = _read_json(path)
-    spin = SpinLabel(data["two_j"])
-    frame = SubspaceFrame(spin, tuple(PureState(spin, _from_pairs(s)) for s in data["basis"]))
-    _check_count("k", data["k"], 1)
-    _check_count("t", data["t"], 1)
-    if frame.k != data["k"]:
-        raise ValueError(f"declared k={data['k']} but file holds {frame.k} states")
-    objective = data["objective"]
+    spin = SpinLabel(_field(data, "two_j"))
+    k, t, objective = (_field(data, name) for name in ("k", "t", "objective"))
+    _check_count("k", k, 1)
+    _check_count("t", t, 1)
+    basis = _field(data, "basis", lambda rows: tuple(PureState(spin, a) for a in _from_pairs(rows, 2)))
+    frame = SubspaceFrame(spin, basis)
+    if frame.k != k:
+        raise ValueError(f"declared k={k} but file holds {frame.k} states")
     if not isinstance(objective, (int, float)) or isinstance(objective, bool):
         raise ValueError(f"objective must be a number, got {objective!r}")
-    return SubspaceFileContent(frame, data["t"], float(objective), data.get("seed"))
+    seed = data.get("seed")
+    if seed is not None:
+        _check_count("seed", seed, 0)
+    return SubspaceFileContent(frame, t, float(objective), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .multipole import multipole_stack
 from .spin_core import PureState, SpinLabel, angular_momentum_operators, check_orthonormal, rotation_operator_euler
@@ -45,6 +44,12 @@ LM_INITIAL_DAMPING = 1e-3  # times f, the scale of the squared residual
 LM_DAMPING_GROWTH = 10.0
 LM_MAX_REJECTIONS = 8
 STOP_REASONS = ("gate", "stall", "iteration_cap", "backtrack_exhausted")
+# Levenberg-Marquardt fit of the Euler angles in rotation_equivalent, with
+# MINPACK's defaults: 100 (n + 1) residual evaluations for n = 3 angles, and
+# sqrt(machine epsilon) as the negligible relative decrease and step
+TURN_FIT_EVALUATIONS = 400
+TURN_FIT_TOL = math.sqrt(np.finfo(float).eps)
+TURN_FIT_INITIAL_DAMPING = 1e-3  # times diag(J^T J)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +562,58 @@ def _turn_jacobian(spin: SpinLabel, x: np.ndarray, angles) -> np.ndarray:
     """The derivatives of -X, X = R p R^dag, in the Euler angles of R: i [n.J, X], n the axis each turns about."""
     (sa, sb), (ca, cb) = np.sin(angles[:2]), np.cos(angles[:2])
     axes = [[0.0, 0.0, 1.0], [-sa, ca, 0.0], [sb * ca, sb * sa, cb]]
-    gens = np.tensordot(axes, np.array(angular_momentum_operators(spin)), 1)
+    gens = (axes @ np.reshape(angular_momentum_operators(spin), (3, -1))).reshape(3, *x.shape)
     return 1j * (gens @ x - x @ gens)
+
+
+def _levenberg_marquardt(residual, jacobian, x):
+    """Fit residual(x) ~ 0 in least squares from x; returns (x, residual evaluations).
+
+    jacobian(x, r) gives the Jacobian of the residual at x from r = residual(x).
+
+    Each iteration solves (J^T J + lam diag(J^T J)) dx = -J^T r at the
+    current x.  The Marquardt scaling keeps the system solvable where J is
+    rank-deficient (Euler angles at beta = 0).  A trial x + dx is accepted
+    only if it lowers |r|^2, which divides lam by LM_DAMPING_GROWTH; a
+    rejection multiplies it.  The fit stops at a zero, after an accepted step
+    with a negligible relative decrease or a negligible step, when even a
+    negligible step is rejected, or at TURN_FIT_EVALUATIONS evaluations.
+    """
+    r = residual(x)
+    f = float(r @ r)
+    evaluations = 1
+    damping = TURN_FIT_INITIAL_DAMPING
+    while f > 0.0 and evaluations < TURN_FIT_EVALUATIONS:
+        jac = jacobian(x, r)
+        normal = jac.T @ jac
+        rhs = -(jac.T @ r)
+        scale = np.diag(normal)
+        scale = np.diag(np.where(scale > 0.0, scale, 1.0))  # a column of zeros gets scale 1
+        while evaluations < TURN_FIT_EVALUATIONS:
+            try:
+                dx = np.linalg.solve(normal + damping * scale, rhs)
+            except np.linalg.LinAlgError:
+                damping *= LM_DAMPING_GROWTH
+                continue
+            small = float(np.linalg.norm(dx)) <= TURN_FIT_TOL * (float(np.linalg.norm(x)) + TURN_FIT_TOL)
+            trial = x + dx
+            rt = residual(trial)
+            ft = float(rt @ rt)
+            evaluations += 1
+            if ft < f:
+                break
+            if small:
+                return x, evaluations
+            damping *= LM_DAMPING_GROWTH
+        else:
+            break
+        # below machine epsilon the damping no longer changes the system
+        damping = max(damping / LM_DAMPING_GROWTH, np.finfo(float).eps)
+        negligible = small or f - ft <= TURN_FIT_TOL * f
+        x, r, f = trial, rt, ft
+        if negligible:
+            break
+    return x, evaluations
 
 
 def rotation_equivalent(
@@ -572,16 +627,16 @@ def rotation_equivalent(
     """Test whether two frames span globally rotated copies of one subspace.
 
     Minimizes ||Pi_A - R Pi_B R^dag||_F over the Euler angles of
-    R = R_z(alpha) R_y(beta) R_z(gamma) by Levenberg-Marquardt on the exact
-    Jacobian, from the identity and then from seeded uniform angles, up to
-    `starts` runs, stopping once the residual is below tolerance / 100.  The
-    returned angles are any minimizer with the smallest residual found (a
+    R = R_z(alpha) R_y(beta) R_z(gamma) by `_levenberg_marquardt` on the
+    exact Jacobian, from the identity and then from seeded uniform angles, up
+    to `starts` runs, stopping once the residual is below tolerance / 100.
+    The returned angles are any minimizer with the smallest residual found (a
     symmetric subspace has many) and reproduce that residual exactly.  When
     `t` is given, both frames are required to certify at that order first.
     "Not equivalent" means that no start reached the tolerance, not that no
     rotation exists: the residual has many local minima at larger spin, and
     at the default 24 starts 6 of 10 randomly rotated copies of the (7,3,2)
-    catalog frame are missed.
+    catalog frame are missed, as they were by MINPACK's Levenberg-Marquardt.
     """
     if frame_a.spin != frame_b.spin or frame_a.k != frame_b.k:
         raise ValueError("frames must share spin and dimension")
@@ -604,8 +659,9 @@ def rotation_equivalent(
     def residual(angles):
         return (pa - turned(angles)).view(float).ravel()
 
-    def jacobian(angles):
-        return _turn_jacobian(spin, turned(angles), angles).view(float).reshape(3, -1).T
+    def jacobian(angles, r):
+        # pa - r is the turned projector up to rounding, which the Jacobian can ignore
+        return _turn_jacobian(spin, pa - r.view(complex).reshape(pa.shape), angles).view(float).reshape(3, -1).T
 
     rng = np.random.default_rng(seed)
     best_angles = (0.0, 0.0, 0.0)
@@ -614,7 +670,7 @@ def rotation_equivalent(
         if best_val <= tolerance / 100:
             break
         x0 = np.zeros(3) if start == 0 else rng.uniform(0.0, 2 * math.pi, size=3)
-        angles = tuple(float(x) for x in least_squares(residual, x0, jac=jacobian, method="lm").x)
+        angles = tuple(float(x) for x in _levenberg_marquardt(residual, jacobian, x0)[0])
         val = float(np.linalg.norm(pa - turned(angles)))
         if val < best_val:
             best_val, best_angles = val, angles

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -40,6 +43,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+class TestStartup:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # a child interpreter, so that no module this test session loaded counts
+        code = ("import sys, rotosense, rotosense.cli; "
+                "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(rio.__file__)),
+                                                          env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+
 class TestStateIo:
     def test_round_trip_kinds(self, tmp_path, rng):
         rho = spin2_family(0.65)
@@ -78,6 +94,25 @@ class TestStateIo:
         with pytest.raises(ValueError, match="JSON"):
             rio.load_state(p)
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"kind": "pure", "amplitudes": [[1, 0], [0, 0]]}, "missing field 'two_j'"),
+        ({"two_j": 1, "amplitudes": [[1, 0], [0, 0]]}, "missing field 'kind'"),
+        ({"two_j": 1, "kind": "pure"}, "missing field 'amplitudes'"),
+        ({"two_j": 1, "kind": "mixed-eigen", "states": [[[1, 0], [0, 0]]]}, "missing field 'weights'"),
+        ({"two_j": 1, "kind": "mixed-eigen", "weights": [1.0]}, "missing field 'states'"),
+        ({"two_j": 1, "kind": "mixed-matrix"}, "missing field 'matrix'"),
+        ({"two_j": 1, "kind": "pure", "amplitudes": 5}, "field 'amplitudes'"),
+        ({"two_j": 1, "kind": "mixed-eigen", "weights": "x", "states": [[[1, 0], [0, 0]]]}, "field 'weights'"),
+        ({"two_j": 1, "kind": "mixed-eigen", "weights": [1.0], "states": {"a": 1}}, "field 'states'"),
+        ({"two_j": 1, "kind": "mixed-matrix", "matrix": [[1, 0], [0, 0]]}, "field 'matrix'"),
+        ([{"two_j": 1, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]}], "JSON object"),
+    ])
+    def test_missing_or_ill_typed_field_named(self, tmp_path, payload, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            rio.load_state(p)
+
 
 class TestSubspaceIo:
     @pytest.fixture
@@ -96,11 +131,43 @@ class TestSubspaceIo:
         ("k", 0, "k must be an integer"), ("k", 3, "declared k=3"),
         ("objective", None, "objective must be a number"), ("objective", "0", "objective must be a number"),
         ("objective", False, "objective must be a number"),
+        ("seed", "x", "seed must be an integer"), ("seed", -1, "seed must be an integer"),
+        ("seed", 1.5, "seed must be an integer"), ("seed", True, "seed must be an integer"),
+        ("seed", [3], "seed must be an integer"),
     ])
     def test_malformed_counts_and_objective_rejected(self, tmp_path, plane_payload, key, value, message):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**plane_payload, key: value}))
         with pytest.raises(ValueError, match=message):
+            rio.load_subspace(p)
+
+    @pytest.mark.parametrize("key", ["two_j", "k", "t", "basis", "objective"])
+    def test_missing_field_named(self, tmp_path, plane_payload, key):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({name: value for name, value in plane_payload.items() if name != key}))
+        with pytest.raises(ValueError, match=f"missing field '{key}'"):
+            rio.load_subspace(p)
+
+    @pytest.mark.parametrize("value", [5, "x", [[1, 0], [0, 0]], {"a": 1}])
+    def test_ill_typed_basis_named(self, tmp_path, plane_payload, value):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**plane_payload, "basis": value}))
+        with pytest.raises(ValueError, match="field 'basis'"):
+            rio.load_subspace(p)
+
+    @pytest.mark.parametrize("seed", [None, 0, 3])
+    def test_seed_null_or_count_loaded(self, tmp_path, plane_payload, seed):
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps({**plane_payload, "seed": seed}))
+        assert rio.load_subspace(p).seed == seed
+        del plane_payload["seed"]
+        p.write_text(json.dumps(plane_payload))
+        assert rio.load_subspace(p).seed is None
+
+    def test_top_level_list_rejected(self, tmp_path, plane_payload):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps([plane_payload]))
+        with pytest.raises(ValueError, match="JSON object"):
             rio.load_subspace(p)
 
 
@@ -172,6 +239,13 @@ class TestCertifyCommand:
         assert out == ""
         assert "error: invalid state file" in err
         assert "Traceback" not in err
+
+    def test_missing_amplitudes_named(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"two_j": 2, "kind": "pure"}))
+        code, out, err = run(capsys, "certify", str(p))
+        assert (code, out) == (1, "")
+        assert f"error: invalid state file {p}: missing field 'amplitudes'" in err
 
     @pytest.mark.parametrize("command", ["certify", "qfi"])
     def test_boolean_spin_exit_one(self, tmp_path, capsys, command):

@@ -526,6 +526,13 @@ class TestConstructions:
             construct_two_ac_family(SpinLabel(9))
 
 
+def _turned_copy(frame, seed):
+    """The frame turned by Euler angles drawn uniformly from [0, 2 pi) with the given seed."""
+    angles = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, size=3)
+    r = rotation_operator_euler(frame.spin, *angles)
+    return SubspaceFrame.from_amplitudes(frame.spin, frame.matrix() @ r.T)
+
+
 class TestRotationEquivalence:
     def test_frame_vs_itself(self):
         frame = spin2_plane()
@@ -588,6 +595,56 @@ class TestRotationEquivalence:
             step = h * np.eye(3)[k]
             numeric = -(turned(angles + step) - turned(angles - step)) / (2 * h)
             assert np.abs(jac[k] - numeric).max() <= 1e-9
+
+    def test_no_start_exceeds_the_evaluation_budget(self, monkeypatch):
+        # copy 0 of (7,3,2) is missed, so all 24 starts run, and copy 1 is found
+        counts = []
+        fit = subspaces._levenberg_marquardt
+
+        def counted(residual, jacobian, x):
+            calls = []
+            x, evaluations = fit(lambda a: calls.append(a) or residual(a), jacobian, x)
+            assert evaluations == len(calls)
+            counts.append(evaluations)
+            return x, evaluations
+
+        monkeypatch.setattr(subspaces, "_levenberg_marquardt", counted)
+        frame = catalog()["(7,3,2)"].frame
+        assert [rotation_equivalent(frame, _turned_copy(frame, s)).equivalent for s in range(2)] == [False, True]
+        assert len(counts) > 24
+        assert max(counts) <= subspaces.TURN_FIT_EVALUATIONS
+
+    def test_fit_stops_at_the_evaluation_budget(self):
+        # exp(x) has no zero, and a slope four times too steep keeps every step near -1/4, so each
+        # trial lowers it by a factor near exp(-1/4) and none is negligible
+        x, evaluations = subspaces._levenberg_marquardt(np.exp, lambda x, r: np.diag(4 * r), np.array([0.0]))
+        assert evaluations == subspaces.TURN_FIT_EVALUATIONS
+        assert x[0] < -90.0
+
+    def test_all_rotated_copies_found_at_default_starts(self):
+        frame = catalog()["(9/2,4,1)"].frame
+        for s in range(10):
+            eq = rotation_equivalent(frame, _turned_copy(frame, s))
+            assert eq.equivalent and eq.residual <= 1e-12, s
+
+    def test_start_at_a_zero_takes_no_step(self):
+        frame = catalog()["(7/2,2,2)"].frame
+        start = np.array([0.4, 1.1, -2.3])
+        p = frame.projector()
+
+        def turned(angles):
+            r = rotation_operator_euler(frame.spin, *angles)
+            return r @ p @ r.conj().T
+
+        target = turned(start)  # the residual below is exactly zero at the start
+
+        def jacobian(angles, r):
+            raise AssertionError("a fit that starts at a zero needs no Jacobian")
+
+        x, evaluations = subspaces._levenberg_marquardt(lambda a: (target - turned(a)).view(float).ravel(),
+                                                        jacobian, start)
+        assert evaluations == 1
+        assert x is start
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"starts": 2.5}, "starts"), ({"starts": 0}, "starts"), ({"starts": -3}, "starts"),
