@@ -47,12 +47,16 @@ def anticoherence_measure(rho: DensityMatrix, t: int) -> float:
 
 @dataclass(frozen=True)
 class AnticoherenceCheck:
-    holds: bool
     max_violation: float
 
+    @property
+    def holds(self) -> bool:
+        """Every multipole expectation of order 1..t at the gate ANTICOHERENCE_TOL."""
+        return self.max_violation <= ANTICOHERENCE_TOL
 
-def is_anticoherent(rho: DensityMatrix, t: int, tolerance: float = ANTICOHERENCE_TOL) -> AnticoherenceCheck:
-    """Check |Tr(rho T_LM)| <= tolerance for L = 1..t, all M.
+
+def is_anticoherent(rho: DensityMatrix, t: int) -> AnticoherenceCheck:
+    """The largest |Tr(rho T_LM)| for L = 1..t, all M, gated on ANTICOHERENCE_TOL.
 
     Only L <= 2j sectors exist; higher requested orders add no conditions,
     matching the moment definition (J_n^K moments with K > 2j are spanned by
@@ -62,17 +66,15 @@ def is_anticoherent(rho: DensityMatrix, t: int, tolerance: float = ANTICOHERENCE
         raise ValueError("order t must be >= 1")
     l_max = min(t, rho.spin.two_j)
     if l_max < 1:
-        return AnticoherenceCheck(True, 0.0)
+        return AnticoherenceCheck(0.0)
     ts = multipole_stack(rho.spin.two_j, 1, l_max)
     vals = np.einsum("aij,ji->a", ts, rho.matrix)
-    worst = float(np.abs(vals).max())
-    return AnticoherenceCheck(worst <= tolerance, worst)
+    return AnticoherenceCheck(float(np.abs(vals).max()))
 
 
 @dataclass(frozen=True)
 class AnticoherenceReport:
     orders: Dict[int, float]
-    certified_order: int
     tolerance: float
 
     def __post_init__(self):
@@ -80,26 +82,21 @@ class AnticoherenceReport:
         if bad:
             raise ValueError(f"anticoherence measures out of [0, 1]: {bad}")
 
+    @property
+    def certified_order(self) -> int:
+        """The largest t with A_1..A_t all within tolerance of 1."""
+        certified = 0
+        while self.orders.get(certified + 1, -1.0) >= 1.0 - self.tolerance:
+            certified += 1
+        return certified
 
-def anticoherence_report(
-    rho: DensityMatrix,
-    tolerance: float = MEASURE_TOL,
-) -> AnticoherenceReport:
-    """A_t for t = 1..2j-1 and the largest t with A_1..A_t all at 1."""
+
+def anticoherence_report(rho: DensityMatrix) -> AnticoherenceReport:
+    """A_t for t = 1..2j-1, certified up to the largest t with A_1..A_t all at 1 within MEASURE_TOL."""
     n = rho.spin.qubit_count
     if n < 2:
         raise ValueError("anticoherence measures need N = 2j >= 2")
-    orders: Dict[int, float] = {}
-    certified = 0
-    run_intact = True
-    for t in range(1, n):
-        at = anticoherence_measure(rho, t)
-        orders[t] = at
-        if run_intact and at >= 1.0 - tolerance:
-            certified = t
-        else:
-            run_intact = False
-    return AnticoherenceReport(orders, certified, tolerance)
+    return AnticoherenceReport({t: anticoherence_measure(rho, t) for t in range(1, n)}, MEASURE_TOL)
 
 
 # ---------------------------------------------------------------------------

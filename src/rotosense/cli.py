@@ -29,7 +29,10 @@ from .subspaces import (
     catalog,
     construct_one_ac_family,
     construct_two_ac_family,
+    kmax_scan,
+    one_ac_family_dimension,
     search_subspace,
+    two_ac_family_dimension,
     upper_bound_kmax,
     verify_subspace,
 )
@@ -194,8 +197,6 @@ def _reproduce_fig1(outdir: Path, manifest: rio.RunManifest) -> None:
 
 def _reproduce_kmax(outdir: Path, manifest: rio.RunManifest, seed: int, restarts: int,
                     max_two_j: int) -> None:
-    from .subspaces import kmax_scan, one_ac_family_dimension, two_ac_family_dimension
-
     rows = []
     for two_j in range(2, min(max_two_j, 17) + 1):
         spin = SpinLabel(two_j)
@@ -234,11 +235,7 @@ def _reproduce_negativity(outdir: Path, manifest: rio.RunManifest) -> None:
         spin = frame.spin
         label = name.replace(",", ";")  # keep the CSV comma-free
         for lam1 in np.linspace(0.5, 1.0, 101):
-            w = np.array([lam1, 1.0 - lam1])
-            keep = w > 0
-            rho = DensityMatrix.from_mixture(
-                w[keep] / w[keep].sum(), [s for s, kp in zip(frame.basis, keep) if kp]
-            )
+            rho = DensityMatrix.from_mixture([lam1, 1.0 - lam1], frame.basis)
             n1 = negativity(rho, Bipartition.of(spin, 1)).negativity
             n2 = negativity(rho, Bipartition.of(spin, 2)).negativity
             rows.append([label, float(lam1), rho.purity, n1, n2])
@@ -320,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240001)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--max-j", type=_parse_spin, default=None,
-                   help="cap for the kmax scan and construction-dimension table")
+                   help="cap for the construction-dimension table (default j = 20); "
+                        "the kmax scan stops at j = 17/2 whatever the cap")
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("catalog", help="list or export the reference subspace catalog")

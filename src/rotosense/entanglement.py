@@ -67,26 +67,21 @@ def _partial_transpose_spectrum(rho: DensityMatrix, bipartition: Bipartition) ->
 @dataclass(frozen=True)
 class NegativityReport:
     bipartition: Bipartition
-    negativity: float
-    negative_eigenvalues: np.ndarray
     spectrum: np.ndarray
 
-    def __post_init__(self):
-        resummed = float(np.sum((np.abs(self.spectrum) - self.spectrum) / 2))
-        if abs(resummed - self.negativity) > 1e-10:
-            raise ValueError("negativity inconsistent with the reported spectrum")
+    @property
+    def negativity(self) -> float:
+        """Sum of (|Lambda| - Lambda)/2 over the partial-transpose spectrum."""
+        return float(np.sum((np.abs(self.spectrum) - self.spectrum) / 2))
+
+    @property
+    def negative_eigenvalues(self) -> np.ndarray:
+        return self.spectrum[self.spectrum < 0]
 
 
 def negativity(rho: DensityMatrix, bipartition: Bipartition) -> NegativityReport:
-    """Sum of (|Lambda| - Lambda)/2 over the partial-transpose spectrum."""
-    spectrum = _partial_transpose_spectrum(rho, bipartition)
-    negatives = spectrum[spectrum < 0]
-    return NegativityReport(
-        bipartition,
-        float(np.sum((np.abs(spectrum) - spectrum) / 2)),
-        negatives,
-        spectrum,
-    )
+    """The partial-transpose spectrum of rho across the bipartition, and its negativity."""
+    return NegativityReport(bipartition, _partial_transpose_spectrum(rho, bipartition))
 
 
 def schmidt_spectrum(psi: PureState, bipartition: Bipartition) -> np.ndarray:
@@ -109,8 +104,16 @@ class ProtectedNegativityReport:
     weight_samples: int
     max_negativity_deviation: float      # worst |N_t' - t'/2| over samples, t' <= t
     schmidt_orthonormality_deviation: float
-    multiplicities_ok: bool
-    all_pass: bool
+    max_spectrum_deviation: float        # worst gap to the predicted order-t spectrum; inf on a size mismatch
+
+    @property
+    def multiplicities_ok(self) -> bool:
+        return self.max_spectrum_deviation <= NEGATIVITY_TOL
+
+    @property
+    def all_pass(self) -> bool:
+        return (self.max_negativity_deviation <= NEGATIVITY_TOL
+                and self.schmidt_orthonormality_deviation <= NEGATIVITY_TOL and self.multiplicities_ok)
 
 
 def _predicted_pt_spectrum(weights: np.ndarray, k: int, t: int, n: int) -> np.ndarray:
@@ -136,7 +139,6 @@ def protected_negativity_suite(
     t: int,
     weight_samples: int = 20,
     seed: int = 0,
-    tolerance: float = NEGATIVITY_TOL,
 ) -> ProtectedNegativityReport:
     """Check the protected-negativity properties of a verified t-AC frame.
 
@@ -165,8 +167,7 @@ def protected_negativity_suite(
     gram = rows @ rows.conj().T
     schmidt_dev = float(np.abs(gram - np.eye(len(rows))).max())
 
-    worst = 0.0
-    multiplicities_ok = True
+    worst = spectrum_dev = 0.0
     for _ in range(weight_samples):
         w = rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
         rho = DensityMatrix.from_mixture(w, frame.basis)
@@ -175,9 +176,7 @@ def protected_negativity_suite(
             worst = max(worst, abs(report.negativity - tp / 2.0))
             if tp == t:
                 predicted = _predicted_pt_spectrum(w, k, t, n)
-                if len(predicted) != len(report.spectrum) or np.abs(
-                    predicted - np.sort(report.spectrum)
-                ).max() > tolerance:
-                    multiplicities_ok = False
-    all_pass = worst <= tolerance and schmidt_dev <= tolerance and multiplicities_ok
-    return ProtectedNegativityReport(frame, t, weight_samples, worst, schmidt_dev, multiplicities_ok, all_pass)
+                gap = (np.abs(predicted - np.sort(report.spectrum)).max()
+                       if len(predicted) == len(report.spectrum) else np.inf)
+                spectrum_dev = max(spectrum_dev, float(gap))
+    return ProtectedNegativityReport(frame, t, weight_samples, worst, schmidt_dev, spectrum_dev)

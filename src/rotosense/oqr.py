@@ -75,7 +75,7 @@ def certify(rho: DensityMatrix) -> OqrVerdict:
     mixture = eigen_mixture(rho)
     frame = SubspaceFrame(rho.spin, mixture.states)
     g1 = objective_g_t(frame, 1) if rho.spin.two_j >= 1 else math.inf
-    check2 = is_anticoherent(rho, 2, tol.multipole)
+    check2 = is_anticoherent(rho, 2)
     form = qfi_quadratic_form(rho)
     return OqrVerdict(
         image_frame=frame,
@@ -146,9 +146,7 @@ def spin3_oqr_family(lambda1: float) -> DensityMatrix:
     frame = spin3_one_ac_triple()
     lam1 = min(max(lambda1, 0.0), 2.0 / 3.0)
     weights = np.array([lam1, 2.0 / 3.0 - lam1, 1.0 / 3.0])
-    keep = weights > 0
-    return DensityMatrix.from_mixture(weights[keep] / weights[keep].sum(),
-                                      [s for s, kp in zip(frame.basis, keep) if kp])
+    return DensityMatrix.from_mixture(weights / weights.sum(), frame.basis)
 
 
 def spin3_mixture_a2(lambda3: float) -> float:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 import numpy as np
 
-from .multipole import multipole_stack
+from .multipole import MultipoleIndex, multipole_operator, multipole_stack
 from .spin_core import PureState, SpinLabel, angular_momentum_operators, check_orthonormal, rotation_operator_euler
 
 SUCCESS_THRESHOLD = 1e-10
@@ -134,10 +134,8 @@ def _pair_sum(b: np.ndarray) -> float:
 
 def objective_g_lm(frame: SubspaceFrame, L: int, M: int) -> float:
     """Pairwise form: sum over ordered pairs a <= b of |<psi_a|T_LM|psi_b>|^2."""
-    ts = multipole_stack(frame.spin.two_j, L, L)
-    t = ts[M + L]
     m = frame.matrix()
-    return _pair_sum(m @ t @ m.conj().T)
+    return _pair_sum(m @ multipole_operator(frame.spin, MultipoleIndex(L, M)) @ m.conj().T)
 
 
 def objective_g_lm_trace(frame: SubspaceFrame, L: int, M: int) -> float:
@@ -146,10 +144,8 @@ def objective_g_lm_trace(frame: SubspaceFrame, L: int, M: int) -> float:
     Counts off-diagonal pairs twice relative to `objective_g_lm`; both vanish
     together once summed over M.
     """
-    ts = multipole_stack(frame.spin.two_j, L, L)
-    t = ts[M + L]
     m = frame.matrix()
-    return float(np.sum(np.abs(m @ t @ m.conj().T) ** 2))
+    return float(np.sum(np.abs(m @ multipole_operator(frame.spin, MultipoleIndex(L, M)) @ m.conj().T) ** 2))
 
 
 def objective_g_t(frame: SubspaceFrame, t: int) -> float:
@@ -237,9 +233,13 @@ class RestartRecord:
     index: int
     objective: float
     iterations: int
-    converged: bool
     stop_reason: str  # one of STOP_REASONS
     evaluations: int  # objective evaluations, trial steps included
+
+    @property
+    def converged(self) -> bool:
+        """The restart reached the descent gate."""
+        return self.objective <= DESCENT_GATE
 
 
 @dataclass(frozen=True)
@@ -389,7 +389,7 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
         starts.append(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
     psi, f, iterations, reasons, evaluations = _descend(_orthonormalize_rows(np.stack(starts)), ts, DESCENT_GATE)
     records = tuple(
-        RestartRecord(i, float(f[i]), int(iterations[i]), bool(f[i] <= DESCENT_GATE), reasons[i], int(evaluations[i]))
+        RestartRecord(i, float(f[i]), int(iterations[i]), reasons[i], int(evaluations[i]))
         for i in range(config.restarts)
     )
     best = min(range(config.restarts), key=f.__getitem__)  # lowest index on ties
@@ -412,18 +412,32 @@ def upper_bound_kmax(spin: SpinLabel, t: int) -> int:
 @dataclass(frozen=True)
 class KmaxScanEntry:
     k: int
-    found: bool
     best_objective: float
+
+    @property
+    def found(self) -> bool:
+        return self.best_objective <= SUCCESS_THRESHOLD
 
 
 @dataclass(frozen=True)
 class KmaxScan:
     spin: SpinLabel
     t: int
-    k_max: int
-    bound: int
     entries: Tuple[KmaxScanEntry, ...]
-    anomalies: Tuple[int, ...]  # k values found after a smaller k failed
+
+    @property
+    def bound(self) -> int:
+        return upper_bound_kmax(self.spin, self.t)
+
+    @property
+    def k_max(self) -> int:
+        return max((e.k for e in self.entries if e.found), default=0)
+
+    @property
+    def anomalies(self) -> Tuple[int, ...]:
+        """The k values found after a smaller k failed."""
+        return tuple(e.k for e in self.entries
+                     if e.found and any(m.k < e.k and not m.found for m in self.entries))
 
 
 def kmax_scan(spin: SpinLabel, t: int, config: SearchConfig) -> KmaxScan:
@@ -433,19 +447,11 @@ def kmax_scan(spin: SpinLabel, t: int, config: SearchConfig) -> KmaxScan:
     misses at smaller k are reported as anomalies rather than silently
     truncating the scan).
     """
-    bound = upper_bound_kmax(spin, t)
-    entries: List[KmaxScanEntry] = []
-    found_ks: List[int] = []
-    for k in range(1, max(bound, 1) + 1):
+    entries = []
+    for k in range(1, max(upper_bound_kmax(spin, t), 1) + 1):
         result = search_subspace(spin, k, t, replace(config, seed=config.seed + k))
-        entries.append(KmaxScanEntry(k, result.found, result.certificate.objective_value))
-        if result.found:
-            found_ks.append(k)
-    k_max = max(found_ks, default=0)
-    anomalies = tuple(
-        k for k in found_ks if any(e.k < k and not e.found for e in entries)
-    )
-    return KmaxScan(spin, t, k_max, bound, tuple(entries), anomalies)
+        entries.append(KmaxScanEntry(k, result.certificate.objective_value))
+    return KmaxScan(spin, t, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +559,12 @@ def construct_two_ac_family(spin: SpinLabel) -> SubspaceFrame:
 
 @dataclass(frozen=True)
 class RotationEquivalence:
-    equivalent: bool
     residual: float
     euler_angles: Tuple[float, float, float]
+
+    @property
+    def equivalent(self) -> bool:
+        return self.residual <= ROTATION_EQUIVALENCE_TOL
 
 
 def _turn_jacobian(spin: SpinLabel, x: np.ndarray, angles) -> np.ndarray:
@@ -619,21 +628,21 @@ def _levenberg_marquardt(residual, jacobian, x):
 def rotation_equivalent(
     frame_a: SubspaceFrame,
     frame_b: SubspaceFrame,
-    t: Optional[int] = None,
     starts: int = 24,
     seed: int = 7,
-    tolerance: float = ROTATION_EQUIVALENCE_TOL,
 ) -> RotationEquivalence:
     """Test whether two frames span globally rotated copies of one subspace.
 
     Minimizes ||Pi_A - R Pi_B R^dag||_F over the Euler angles of
     R = R_z(alpha) R_y(beta) R_z(gamma) by `_levenberg_marquardt` on the
     exact Jacobian, from the identity and then from seeded uniform angles, up
-    to `starts` runs, stopping once the residual is below tolerance / 100.
-    The returned angles are any minimizer with the smallest residual found (a
-    symmetric subspace has many) and reproduce that residual exactly.  When
-    `t` is given, both frames are required to certify at that order first.
-    "Not equivalent" means that no start reached the tolerance, not that no
+    to `starts` runs, stopping once the residual is below
+    ROTATION_EQUIVALENCE_TOL / 100.  The returned angles are any minimizer
+    with the smallest residual found (a symmetric subspace has many) and
+    reproduce that residual exactly; the verdict compares that residual with
+    ROTATION_EQUIVALENCE_TOL.  Neither frame needs to be anticoherent; a
+    caller that requires it checks each with `verify_subspace`.
+    "Not equivalent" means that no start reached the gate, not that no
     rotation exists: the residual has many local minima at larger spin, and
     at the default 24 starts 6 of 10 randomly rotated copies of the (7,3,2)
     catalog frame are missed, as they were by MINPACK's Levenberg-Marquardt.
@@ -642,12 +651,6 @@ def rotation_equivalent(
         raise ValueError("frames must share spin and dimension")
     _check_count("seed", seed, 0)
     _check_count("starts", starts, 1)
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
-    if t is not None:
-        for f in (frame_a, frame_b):
-            if not verify_subspace(f, t).verified:
-                raise ValueError(f"frame does not certify at order t={t}")
     pa = frame_a.projector()
     pb = frame_b.projector()
     spin = frame_a.spin
@@ -667,14 +670,14 @@ def rotation_equivalent(
     best_angles = (0.0, 0.0, 0.0)
     best_val = float(np.linalg.norm(pa - turned(best_angles)))
     for start in range(starts):
-        if best_val <= tolerance / 100:
+        if best_val <= ROTATION_EQUIVALENCE_TOL / 100:
             break
         x0 = np.zeros(3) if start == 0 else rng.uniform(0.0, 2 * math.pi, size=3)
         angles = tuple(float(x) for x in _levenberg_marquardt(residual, jacobian, x0)[0])
         val = float(np.linalg.norm(pa - turned(angles)))
         if val < best_val:
             best_val, best_angles = val, angles
-    return RotationEquivalence(best_val <= tolerance, best_val, best_angles)
+    return RotationEquivalence(best_val, best_angles)
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def serial_search(spin, k, t, config):
         rng = np.random.default_rng(child)
         psi = serial_orthonormalize_rows(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
         psi, f, iterations, reason, evaluations = serial_descend(psi, ts, s.DESCENT_GATE)
-        records.append(s.RestartRecord(i, float(f), int(iterations), bool(f <= s.DESCENT_GATE), reason, evaluations))
+        records.append(s.RestartRecord(i, float(f), int(iterations), reason, evaluations))
         if best_psi is None or f < best_f:
             best_psi, best_f = psi, f
     if best_f <= s.DESCENT_GATE:

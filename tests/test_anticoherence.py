@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rotosense.anticoherence import (
+    ANTICOHERENCE_TOL,
+    AnticoherenceCheck,
     anticoherence_measure,
     anticoherence_report,
     is_anticoherent,
@@ -106,6 +108,10 @@ class TestPredicate:
         rho = spin3_oqr_family(0.2)
         assert is_anticoherent(rho, 2).holds
 
+    def test_check_at_the_gate_holds(self):
+        assert AnticoherenceCheck(ANTICOHERENCE_TOL).holds
+        assert not AnticoherenceCheck(math.nextafter(ANTICOHERENCE_TOL, 1.0)).holds
+
     def test_measure_predicate_compatibility(self, rng):
         # A_1..A_t at 1 within 1e-9  <=>  all multipole expectations below 1e-8
         for _ in range(100):
@@ -115,7 +121,7 @@ class TestPredicate:
                 via_measure = all(
                     anticoherence_measure(rho, k) >= 1 - 1e-9 for k in range(1, t + 1)
                 )
-                assert via_measure == is_anticoherent(rho, t, 1e-8).holds
+                assert via_measure == is_anticoherent(rho, t).holds
 
 
 class TestPerturbedStates:
@@ -133,7 +139,7 @@ class TestPerturbedStates:
                 if M:
                     coeffs[MultipoleIndex(L, -M)] = (-1) ** M * np.conj(c)
         rho = perturbed_anticoherent_state(spin, {1, 2}, coeffs, epsilon="max")
-        assert is_anticoherent(rho, 2, 1e-10).holds
+        assert is_anticoherent(rho, 2).max_violation <= 1e-10
         assert np.linalg.eigvalsh(rho.matrix)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_octupole_pair_reaches_half_purity(self):
@@ -187,7 +193,7 @@ class TestSpin32Family:
             w = float(rng.uniform(0, bound))
             rho, lam = spin32_two_ac_family(w, *c, phi)
             assert np.abs(np.sort(np.linalg.eigvalsh(rho.matrix)) - lam).max() < 1e-10
-            assert is_anticoherent(rho, 2, 1e-10).holds
+            assert is_anticoherent(rho, 2).max_violation <= 1e-10
             assert rho.purity == pytest.approx(0.25 + w**2, abs=1e-12)
 
     def test_positivity_bound_enforced(self):

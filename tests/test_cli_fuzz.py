@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -89,8 +90,10 @@ def state_texts(draw):
             weights[-1] = draw(special)
         payload["weights"] = weights
     else:
-        # a Hermitian matrix with unit trace, PSD unless the flaw says otherwise
-        rows = [draw(vectors(d, None)) for _ in range(draw(st.integers(1, d)))]
+        # a Hermitian matrix with unit trace, PSD unless the flaw says otherwise; the trace of the Gram
+        # matrix sums the squared entries, so one of them must not vanish or underflow to divide by it
+        nonzero = lambda rows: any(x * x + y * y for row in rows for x, y in row)
+        rows = draw(st.lists(vectors(d, None), min_size=1, max_size=d).filter(nonzero))
         m = [[complex(*a) for a in r] for r in rows]
         g = [[sum(v[i].conjugate() * v[j] for v in m) for j in range(d)] for i in range(d)]
         scale = 1.0 if flaw == "unnormalized" else sum(g[i][i].real for i in range(d))
@@ -109,8 +112,13 @@ def state_texts(draw):
 def run_main(argv, workdir):
     """main(argv) run in workdir, so that any relative path it writes lands there."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(workdir), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return code, err.getvalue()
 
 

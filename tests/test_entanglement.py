@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from rotosense.entanglement import (
+    NEGATIVITY_TOL,
     Bipartition,
+    NegativityReport,
+    ProtectedNegativityReport,
     embed_bipartite,
     negativity,
     schmidt_spectrum,
@@ -120,6 +123,11 @@ class TestNegativity:
             rep = negativity(psi.density_matrix().conjugated(r), bip)
             assert rep.negativity == pytest.approx(base, abs=1e-9)
 
+    def test_report_reads_off_the_spectrum(self):
+        rep = NegativityReport(Bipartition(1, 2), np.array([-0.5, 0.5, 0.5, 0.5]))
+        assert rep.negativity == 0.5
+        assert rep.negative_eigenvalues.tolist() == [-0.5]
+
 
 class TestSchmidt:
     def test_t_ac_state_flat_spectrum(self):
@@ -190,6 +198,13 @@ class TestProtectedNegativitySuite:
         assert values[0] == pytest.approx(1.0, abs=1e-10)   # pure 2-AC state
         assert values[-1] == pytest.approx(0.5, abs=1e-10)
         assert max(values) <= 1.0 + 1e-10
+
+    def test_verdicts_read_off_the_spectrum_deviation(self):
+        frame = spin2_plane()
+        assert ProtectedNegativityReport(frame, 1, 1, 0.0, 0.0, NEGATIVITY_TOL).all_pass
+        mismatch = ProtectedNegativityReport(frame, 1, 1, 0.0, 0.0, math.inf)  # spectrum sizes differ
+        assert not mismatch.multiplicities_ok
+        assert not mismatch.all_pass
 
     def test_rejects_unverified_frame(self, rng):
         s = SpinLabel(4)
