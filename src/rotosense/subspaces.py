@@ -11,9 +11,10 @@ is zero exactly on such frames.  Its zeros are found by deterministic
 multi-start descent over orthonormal k-frames in two phases: Barzilai-Borwein
 steps along the tangent gradient until the trace objective reaches LM_ENTRY,
 then damped Gauss-Newton (Levenberg-Marquardt) steps on the block residual,
-which converge where first-order steps crawl toward a zero.  Each restart is
-one coroutine; all pending trials of a search are evaluated together by
-stacked kernels, each exactly as it would be alone.
+which converge where first-order steps crawl toward a zero.  A restart whose
+first-order steps settle at a positive stationary point stops there.  Each
+restart is one coroutine; all pending trials of a search are evaluated
+together by stacked kernels, each exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ INITIAL_STEP = 0.1
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
+# above LM_ENTRY, phase 1 stops at a first-order stationary point once
+# gn2 <= STATIONARY * f, a relative test that means the same at any scale of G
+STATIONARY = 1e-8
 # phase 2 of the descent: Levenberg-Marquardt steps below this trace objective
 LM_ENTRY = 1e-6
 LM_INITIAL_DAMPING = 1e-3  # times f, the scale of the squared residual
 LM_DAMPING_GROWTH = 10.0
 LM_MAX_REJECTIONS = 8
-STOP_REASONS = ("gate", "stall", "iteration_cap", "backtrack_exhausted")
+STOP_REASONS = ("gate", "stall", "stationary", "iteration_cap", "backtrack_exhausted")
 # Levenberg-Marquardt fit of the Euler angles in rotation_equivalent, with
 # MINPACK's defaults: 100 (n + 1) residual evaluations for n = 3 angles, and
 # sqrt(machine epsilon) as the negligible relative decrease and step
@@ -233,7 +237,7 @@ class RestartRecord:
     index: int
     objective: float
     iterations: int
-    stop_reason: str  # one of STOP_REASONS
+    stop_reason: str  # one of STOP_REASONS; "stationary": at a positive first-order stationary point
     evaluations: int  # objective evaluations, trial steps included
 
     @property
@@ -262,13 +266,16 @@ def _restart(psi, f, g, gn2, ts, gate):
     Levenberg-Marquardt steps on the block residual, each accepted only if it
     lowers f; a rejection multiplies the damping by LM_DAMPING_GROWTH, and
     after LM_MAX_REJECTIONS in a row (an exactly singular solve counts as
-    one, with no evaluation) phase 1 finishes the restart.  One iteration is
-    one gradient with its backtracks or one Jacobian with its trial steps.
+    one, with no evaluation) phase 1 finishes the restart.  Above LM_ENTRY,
+    phase 1 stops at a first-order stationary point, gn2 <= STATIONARY * f,
+    where its steps no longer descend.  One iteration is one gradient with
+    its backtracks or one Jacobian with its trial steps.
 
     Each trial frame is yielded before retraction; the reply is (retracted
     frame, f, g, gn2) at it.  Returns (psi, f, iterations, reason,
-    evaluations), where reason is "gate", "stall" (g vanished),
-    "iteration_cap" or "backtrack_exhausted" (MAX_BACKTRACKS tries failed).
+    evaluations), where reason is "gate", "stall" (g vanished), "stationary"
+    (a positive stationary point), "iteration_cap" or "backtrack_exhausted"
+    (MAX_BACKTRACKS tries failed).
     """
     evaluations = 1
     step = INITIAL_STEP / max(1.0, float(np.linalg.norm(g)))
@@ -307,6 +314,9 @@ def _restart(psi, f, g, gn2, ts, gate):
             continue
         if gn2 < 1e-60:
             reason = "stall"
+            break
+        if f > LM_ENTRY and gn2 <= STATIONARY * f:
+            reason = "stationary"
             break
         iterations += 1
         if prev is not None:

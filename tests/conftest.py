@@ -156,6 +156,9 @@ def serial_descend(psi, ts, gate):
         if gn2 < 1e-60:
             reason = "stall"
             break
+        if f > s.LM_ENTRY and gn2 <= s.STATIONARY * f:
+            reason = "stationary"
+            break
         iterations += 1
         if prev is not None:
             dpsi = psi - prev[0]

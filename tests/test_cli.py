@@ -13,7 +13,7 @@ from rotosense import io as rio
 from rotosense.cli import main
 from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
 from rotosense.spin_core import DensityMatrix, PureState, SpinLabel
-from rotosense.subspaces import verify_subspace
+from rotosense.subspaces import SUCCESS_THRESHOLD, verify_subspace
 
 
 @pytest.fixture
@@ -312,6 +312,18 @@ class TestSearchCommand:
         # every restart misses; the best of them stops at a positive minimum
         assert data["converged_restarts"] == 0
         assert data["best_miss_objective"] > 1e-3
+
+    def test_stationary_misses_exit_four(self, capsys):
+        # (4,4,1): every restart stops at a positive first-order stationary point
+        code, out, err = run(capsys, "search", "--j", "4", "--k", "4", "--t", "1",
+                             "--seed", "42", "--restarts", "8")
+        assert code == 4
+        assert err == ""
+        data = json.loads(out)
+        assert data["found"] is False
+        assert set(data["stop_reasons"]) == {"gate", "stall", "stationary", "iteration_cap", "backtrack_exhausted"}
+        assert data["stop_reasons"]["stationary"] == sum(data["stop_reasons"].values()) == 8
+        assert data["best_miss_objective"] > SUCCESS_THRESHOLD
 
     def test_bound_violation_exit_five(self, capsys):
         code, _, err = run(capsys, "search", "--j", "2", "--k", "3", "--t", "1", "--seed", "1")

@@ -14,6 +14,7 @@ from rotosense.subspaces import (
     LM_ENTRY,
     MAX_ITERATIONS,
     ROTATION_EQUIVALENCE_TOL,
+    STATIONARY,
     STOP_REASONS,
     SUCCESS_THRESHOLD,
     KmaxScan,
@@ -38,7 +39,14 @@ from rotosense.subspaces import (
     upper_bound_kmax,
     verify_subspace,
 )
-from conftest import random_pure, serial_search
+from conftest import (
+    random_pure,
+    serial_descend,
+    serial_objective_and_gradient,
+    serial_orthonormalize_rows,
+    serial_search,
+    serial_tangent,
+)
 
 
 def einsum_g_t(frame, t):
@@ -373,6 +381,48 @@ class TestLockstepBatch:
         run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
                              env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0 and "1 passed" in run.stdout, run.stdout + run.stderr
+
+
+class TestStationaryStop:
+    """Phase 1 stops at a positive first-order stationary point, and only there."""
+
+    def test_misses_stop_stationary(self):
+        result = search_subspace(SpinLabel(8), 2, 2, SearchConfig(seed=20240003, restarts=16))
+        assert not result.found
+        for r in result.records:
+            assert r.stop_reason == "stationary"
+            assert r.objective > DESCENT_GATE
+
+    def test_oracle_stops_where_the_gradient_test_holds(self):
+        ts = multipole_stack(8, 1, 2)
+        for child in np.random.SeedSequence(20240003).spawn(16):
+            rng = np.random.default_rng(child)
+            start = serial_orthonormalize_rows(rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9)))
+            psi, f, _, reason, _ = serial_descend(start, ts, DESCENT_GATE)
+            g = serial_tangent(psi, serial_objective_and_gradient(psi, ts)[1])
+            assert reason == "stationary"
+            assert f > LM_ENTRY
+            assert float(np.sum(np.abs(g) ** 2)) <= STATIONARY * f
+
+    @pytest.mark.parametrize("two_j, k, t", [
+        (4, 2, 1),   # (2,2,1)
+        (7, 2, 2),   # (7/2,2,2)
+        (10, 2, 2),  # crawl cell: creeps toward the gate well above the stop
+    ])
+    def test_hits_never_stop_stationary(self, two_j, k, t):
+        result = search_subspace(SpinLabel(two_j), k, t, SearchConfig(seed=20240004, restarts=16))
+        assert result.found
+        assert all(r.stop_reason == "gate" for r in result.records)
+
+    def test_miss_everywhere_ends_in_a_verdict(self, capfd):
+        # (4,4,1) is within the dimension bound, but every restart stops stationary
+        result = search_subspace(SpinLabel(8), 4, 1, SearchConfig(seed=20240004, restarts=8))
+        assert not result.found
+        assert all(r.stop_reason == "stationary" for r in result.records)
+        scan = kmax_scan(SpinLabel(8), 1, SearchConfig(seed=20240004, restarts=8))
+        assert [e.found for e in scan.entries] == [True, True, True, False]
+        assert scan.k_max == 3 and scan.bound == 4 and scan.anomalies == ()
+        assert capfd.readouterr() == ("", "")
 
 
 def einsum_objective_and_gradient(psi, ts):
