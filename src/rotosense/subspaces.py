@@ -14,7 +14,8 @@ then damped Gauss-Newton (Levenberg-Marquardt) steps on the block residual,
 which converge where first-order steps crawl toward a zero.  A restart whose
 first-order steps settle at a positive stationary point stops there.  Each
 restart is one coroutine; all pending trials of a search are evaluated
-together by stacked kernels, each exactly as it would be alone.
+together by stacked kernels, each exactly as it would be alone; a trial
+that repeats its restart's last one bit for bit is not scored again.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ class RestartRecord:
     objective: float
     iterations: int
     stop_reason: str  # one of STOP_REASONS; "stationary": at a positive first-order stationary point
-    evaluations: int  # objective evaluations, trial steps included
+    evaluations: int  # the start frame and trial frames tested, repeats answered from the driver's memo included
 
     @property
     def converged(self) -> bool:
@@ -354,24 +355,35 @@ def _descend(psi, ts, gate):
     In each round every restart that has not stopped yields one trial frame;
     one stacked QR retracts them all and one batched `_evaluate` scores them.
     The stacked kernels sum each frame in the order they sum it alone, so each
-    restart's floats are bit for bit those it computes alone.  Returns (psi,
-    f, iterations, reasons, evaluations), one entry per restart.
+    restart's floats are bit for bit those it computes alone.  A reply thus
+    depends only on the bytes of the trial, and each restart's last trial
+    and reply are kept: a trial whose bytes repeat the last one (a backtrack
+    whose step has fallen below the spacing of the floats, so that
+    psi - step * g == psi) gets the kept reply again, and only distinct
+    trials are retracted and scored.  Returns (psi, f, iterations, reasons,
+    evaluations), one entry per restart.
     """
     wide = _wide(ts)
     restarts = [_restart(*start, ts, gate) for start in zip(psi, *_evaluate(psi, wide))]
     results = [None] * len(restarts)
-    replies = dict.fromkeys(range(len(restarts)))  # live restart -> what to send it next
-    while replies:
+    # live restart -> (bytes of its last trial, the reply to it); None primes the coroutine
+    last = dict.fromkeys(range(len(restarts)), (None, None))
+    while last:
         trials = {}
-        for r, reply in replies.items():
+        for r, (key, reply) in list(last.items()):
             try:
-                trials[r] = restarts[r].send(reply)
+                trial = restarts[r].send(reply)
             except StopIteration as stop:
                 results[r] = stop.value
-        replies = {}
+                del last[r]
+                continue
+            trial_key = trial.tobytes()
+            if trial_key != key:
+                trials[r] = trial_key, trial
         if trials:
-            q = _orthonormalize_rows(np.array(list(trials.values())))
-            replies = dict(zip(trials, zip(q, *_evaluate(q, wide))))
+            q = _orthonormalize_rows(np.array([trial for _, trial in trials.values()]))
+            for (r, (trial_key, _)), reply in zip(trials.items(), zip(q, *_evaluate(q, wide))):
+                last[r] = trial_key, reply
     frames, f, iterations, reasons, evaluations = map(list, zip(*results))
     # stacked so that each frame keeps the memory layout _orthonormalize_rows gives it
     return np.array([p.T for p in frames]).swapaxes(1, 2), f, iterations, reasons, evaluations

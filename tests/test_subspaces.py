@@ -383,6 +383,58 @@ class TestLockstepBatch:
         assert run.returncode == 0 and "1 passed" in run.stdout, run.stdout + run.stderr
 
 
+class TestRepeatedTrials:
+    """The batch driver scores each distinct trial frame of a restart once."""
+
+    @staticmethod
+    def recording_scorer(monkeypatch):
+        """Patch the objective kernel to record every frame it scores; returns the list of those frames."""
+        scored = []
+        evaluate = subspaces._trace_objective_and_gradient
+
+        def recording(p, t):
+            scored.extend(p.copy())
+            return evaluate(p, t)
+
+        monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
+        return scored
+
+    def test_hit_polish_scores_few_frames(self, monkeypatch):
+        # the gate-0 polish of the (2,2,1) hit ends with backtracks whose step
+        # is below the spacing of the floats, so most of its trials repeat
+        ts = multipole_stack(4, 1, 1)
+        psi, f, _, _, _ = subspaces._descend(seeded_starts(4, 2, 20240004, 16), ts, DESCENT_GATE)
+        best = psi[min(range(len(f)), key=f.__getitem__)]
+        scored = self.recording_scorer(monkeypatch)
+        (frame,), (value,), (iterations,), (reason,), (evaluations,) = subspaces._descend(best[None], ts, 0.0)
+        assert len(scored) <= 10
+        assert evaluations == 51
+        want = serial_descend(best, ts, 0.0)
+        assert frame.tobytes() == want[0].tobytes()
+        assert (value, iterations, reason, evaluations) == want[1:]
+
+    def test_repeated_trial_gets_the_stored_reply(self, monkeypatch):
+        ts = multipole_stack(4, 1, 1)
+        start, trial, fresh = seeded_starts(4, 2, 20240004, 3)
+        replies = []
+
+        def restart(psi, f, g, gn2, ts, gate):
+            for frame in (trial, trial, trial, fresh):
+                replies.append((yield frame.copy()))  # a new array each time, as psi - step * g is
+            return psi, f, 0, "gate", 1 + len(replies)
+
+        monkeypatch.setattr(subspaces, "_restart", restart)
+        scored = self.recording_scorer(monkeypatch)
+        assert subspaces._descend(start[None], ts, 0.0)[4] == [5]
+        # the start frame, then the retracted first trial and the retracted new one
+        assert [p.tobytes() for p in scored] == [p.tobytes() for p in (start, replies[0][0], replies[3][0])]
+        first = replies[0]
+        for repeat in replies[1:3]:
+            assert repeat[0].tobytes() == first[0].tobytes() and repeat[2].tobytes() == first[2].tobytes()
+            assert (repeat[1], repeat[3]) == (first[1], first[3])
+        assert replies[3][1] != first[1]
+
+
 class TestStationaryStop:
     """Phase 1 stops at a positive first-order stationary point, and only there."""
 
