@@ -16,7 +16,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .spin_core import DensityMatrix, PureState, SpinLabel, embedding_isometry
-from .subspaces import SubspaceFrame, verify_subspace
+from .subspaces import SubspaceFrame, _check_count, verify_subspace
 
 NEGATIVITY_TOL = 1e-9
 
@@ -48,20 +48,31 @@ def embed_bipartite(obj: Union[PureState, DensityMatrix], bipartition: Bipartiti
     operators; the embedding is an isometry, so traces and inner products
     are preserved.
     """
-    spin = obj.spin
-    if spin.qubit_count != bipartition.n_total:
-        raise ValueError("bipartition does not match the state's qubit count")
-    e = embedding_isometry(spin.two_j, bipartition.t)
+    _check_qubit_count(obj.spin, bipartition)
+    e = embedding_isometry(obj.spin.two_j, bipartition.t)
     if isinstance(obj, PureState):
         return e @ obj.amplitudes
     return e @ obj.matrix @ e.T
 
 
-def _partial_transpose_spectrum(rho: DensityMatrix, bipartition: Bipartition) -> np.ndarray:
+def _check_qubit_count(spin: SpinLabel, bipartition: Bipartition) -> None:
+    if spin.qubit_count != bipartition.n_total:
+        raise ValueError("bipartition does not match the state's qubit count")
+
+
+def _partial_transpose_spectrum(matrices: np.ndarray, bipartition: Bipartition) -> np.ndarray:
+    """Spectrum of the partial transpose of one embedded operator, or of each in a (..., d, d) stack."""
     da, db = bipartition.dims
-    big = embed_bipartite(rho, bipartition).reshape(da, db, da, db)
-    pt = np.einsum("abcd->adcb", big).reshape(da * db, da * db)
+    stack = matrices.shape[:-2]
+    e = embedding_isometry(bipartition.n_total, bipartition.t)
+    big = (e @ matrices @ e.T).reshape(*stack, da, db, da, db)
+    pt = np.einsum("...abcd->...adcb", big).reshape(*stack, da * db, da * db)
     return np.linalg.eigvalsh(pt)
+
+
+def _negativity_of(spectra: np.ndarray) -> np.ndarray:
+    """Sum of (|Lambda| - Lambda)/2 over the last axis of one spectrum or a stack of them."""
+    return np.sum((np.abs(spectra) - spectra) / 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,7 @@ class NegativityReport:
     @property
     def negativity(self) -> float:
         """Sum of (|Lambda| - Lambda)/2 over the partial-transpose spectrum."""
-        return float(np.sum((np.abs(self.spectrum) - self.spectrum) / 2))
+        return float(_negativity_of(self.spectrum))
 
     @property
     def negative_eigenvalues(self) -> np.ndarray:
@@ -81,7 +92,8 @@ class NegativityReport:
 
 def negativity(rho: DensityMatrix, bipartition: Bipartition) -> NegativityReport:
     """The partial-transpose spectrum of rho across the bipartition, and its negativity."""
-    return NegativityReport(bipartition, _partial_transpose_spectrum(rho, bipartition))
+    _check_qubit_count(rho.spin, bipartition)
+    return NegativityReport(bipartition, _partial_transpose_spectrum(rho.matrix, bipartition))
 
 
 def schmidt_spectrum(psi: PureState, bipartition: Bipartition) -> np.ndarray:
@@ -117,21 +129,17 @@ class ProtectedNegativityReport:
 
 
 def _predicted_pt_spectrum(weights: np.ndarray, k: int, t: int, n: int) -> np.ndarray:
-    """Spectrum of the partial transpose for a mixture over a t-AC frame.
+    """Spectrum of the partial transpose for a mixture over a t-AC frame, one row per weight row.
 
     Per weight lam_m: +lam_m/(t+1) with multiplicity (t+1) + t(t+1)/2 and
     -lam_m/(t+1) with multiplicity t(t+1)/2; plus h(t+1) zeros,
     h = 2j - k(t+1) - t + 1.
     """
     h = n - k * (t + 1) - t + 1
-    vals = []
-    plus_mult = (t + 1) + t * (t + 1) // 2
-    minus_mult = t * (t + 1) // 2
-    for lam in weights:
-        vals.extend([lam / (t + 1)] * plus_mult)
-        vals.extend([-lam / (t + 1)] * minus_mult)
-    vals.extend([0.0] * (h * (t + 1)))
-    return np.sort(np.array(vals))
+    scaled = weights / (t + 1)
+    zeros = np.zeros((*weights.shape[:-1], max(h, 0) * (t + 1)))
+    return np.sort(np.concatenate([np.repeat(scaled, (t + 1) + t * (t + 1) // 2, axis=-1),
+                                   np.repeat(-scaled, t * (t + 1) // 2, axis=-1), zeros], axis=-1))
 
 
 def protected_negativity_suite(
@@ -142,13 +150,17 @@ def protected_negativity_suite(
 ) -> ProtectedNegativityReport:
     """Check the protected-negativity properties of a verified t-AC frame.
 
-    For random mixtures over the frame: N_t' = t'/2 for every t' <= t; the
-    B-side Schmidt vectors of all frame states (taken against the fixed
-    computational basis of the small factor, legitimate because the Schmidt
-    coefficients are fully degenerate) are jointly orthonormal; and the
-    partial-transpose spectrum at order t matches the four predicted
-    eigenvalue families exactly.
+    For `weight_samples` random mixtures over the frame: N_t' = t'/2 for
+    every t' <= t; the B-side Schmidt vectors of all frame states (taken
+    against the fixed computational basis of the small factor, legitimate
+    because the Schmidt coefficients are fully degenerate) are jointly
+    orthonormal; and the partial-transpose spectrum at order t matches the
+    four predicted eigenvalue families exactly.  The Dirichlet weights are
+    drawn from `seed` first; each mixture is built as a DensityMatrix, and
+    the spectra of all of them are taken together, one stack per order t'.
     """
+    _check_count("weight_samples", weight_samples, 1)
+    _check_count("seed", seed, 0)
     if not verify_subspace(frame, t).verified:
         raise ValueError(f"frame does not certify at order t={t}")
     spin = frame.spin
@@ -167,16 +179,14 @@ def protected_negativity_suite(
     gram = rows @ rows.conj().T
     schmidt_dev = float(np.abs(gram - np.eye(len(rows))).max())
 
-    worst = spectrum_dev = 0.0
-    for _ in range(weight_samples):
-        w = rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
-        rho = DensityMatrix.from_mixture(w, frame.basis)
-        for tp in range(1, t + 1):
-            report = negativity(rho, Bipartition.of(spin, tp))
-            worst = max(worst, abs(report.negativity - tp / 2.0))
-            if tp == t:
-                predicted = _predicted_pt_spectrum(w, k, t, n)
-                gap = (np.abs(predicted - np.sort(report.spectrum)).max()
-                       if len(predicted) == len(report.spectrum) else np.inf)
-                spectrum_dev = max(spectrum_dev, float(gap))
+    weights = np.array([rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0]) for _ in range(weight_samples)])
+    states = np.stack([DensityMatrix.from_mixture(w, frame.basis).matrix for w in weights])
+    worst = 0.0
+    for tp in range(1, t + 1):
+        spectra = _partial_transpose_spectrum(states, Bipartition.of(spin, tp))
+        worst = max(worst, float(np.abs(_negativity_of(spectra) - tp / 2.0).max()))
+    # spectra now holds order t
+    predicted = _predicted_pt_spectrum(weights, k, t, n)
+    spectrum_dev = (float(np.abs(predicted - np.sort(spectra)).max())
+                    if predicted.shape == spectra.shape else np.inf)
     return ProtectedNegativityReport(frame, t, weight_samples, worst, schmidt_dev, spectrum_dev)

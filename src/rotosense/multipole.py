@@ -10,15 +10,18 @@ Any spin-j operator expands uniquely in this basis; for density matrices the
 L = 0 coefficient is pinned to 1/sqrt(2j+1).
 
 Since m' = m + M, T_LM has one non-zero diagonal.  Only that diagonal is
-stored: each L sector is a (2L+1, 2j+1) array, built once per (2j, L) from
-the integer Racah sum of `spin_core.clebsch_gordan_2` for M >= 0 and mirrored
-to M < 0 by the adjoint symmetry.  `expand` and `reconstruct` read these
-diagonals directly, one pass per offset M, so no dense matrix of the full L
-range is ever built.  Dense matrices are written from the diagonals into
-fresh zero arrays; `multipole_stack` is the one cache of them, kept for the
-consumers of the low sectors L <= t (the subspace objective and search,
-`verify_subspace`, `is_anticoherent`).  No Clebsch-Gordan coefficient is
-cached.
+stored: each L sector is a (2L+1, 2j+1) array, row L + M holding the
+diagonal at offset M by row, built once per (2j, L) from the integer Racah
+sum of `spin_core.clebsch_gordan_2` for M >= 0 and mirrored to M < 0 by the
+adjoint symmetry.  `expand` and `reconstruct` read these diagonals directly,
+so no dense matrix of the full L range is ever built: `expand` multiplies
+each sector by the diagonals of rho laid out the same way, one product and
+one row sum per L; `MultipoleExpansion.operator` scales each term's row and
+adds the rows of each offset M in the expansion's own order.  Dense
+matrices are written from the diagonals into fresh zero arrays;
+`multipole_stack` is the one cache of them, kept for the consumers of the
+low sectors L <= t (the subspace objective and search, `verify_subspace`,
+`is_anticoherent`).  No Clebsch-Gordan coefficient is cached.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -51,29 +54,48 @@ class MultipoleIndex:
 
 @lru_cache(maxsize=None)
 def _sector(two_j: int, L: int) -> np.ndarray:
-    """Diagonals of T_L,-L ... T_L,L: row L + M holds T_LM[b - M, b] at column b.
+    """Diagonals of T_L,-L ... T_L,L: row L + M holds T_LM[i, i + M] at column i.
 
-    Entries whose row b - M falls outside the matrix are zero.
+    Entries whose column i + M falls outside the matrix are zero.
     """
     d = two_j + 1
     pref = np.sqrt((2 * L + 1) / d)
     out = np.zeros((2 * L + 1, d))
     for M in range(L + 1):
-        out[L + M, M:] = pref * np.array([
+        out[L + M, :d - M] = pref * np.array([
             clebsch_gordan_2(two_j, two_j - 2 * b, 2 * L, 2 * M, two_j, two_j - 2 * b + 2 * M)
             for b in range(M, d)
         ])
     for M in range(1, L + 1):
-        # T_L,-M[b + M, b] = (-1)^M T_LM[b, b + M]; + 0.0 turns -0.0 into the +0.0 a zero sum gives
-        out[L - M, :d - M] = (-1) ** M * out[L + M, M:] + 0.0
+        # T_L,-M[i, i - M] = (-1)^M T_LM[i - M, i]; + 0.0 turns -0.0 into the +0.0 a zero sum gives
+        out[L - M, M:] = (-1) ** M * out[L + M, :d - M] + 0.0
     return _readonly(out)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_index(two_j: int) -> np.ndarray:
+    """Flat positions i * d + i + M of the entries [i, i + M], at row M + 2j and column i.
+
+    Entries whose column i + M falls outside the matrix point at d * d, one
+    past the last entry of a flattened matrix.
+    """
+    d = two_j + 1
+    i = np.arange(d)
+    offsets = np.arange(-two_j, two_j + 1)[:, None]
+    return _readonly(np.where((0 <= i + offsets) & (i + offsets < d), i * d + i + offsets, d * d))
+
+
+@lru_cache(maxsize=None)
+def _keys(two_j: int) -> Tuple[MultipoleIndex, ...]:
+    """Every MultipoleIndex of spin two_j / 2, L ascending and M ascending within each L."""
+    return tuple(MultipoleIndex(L, M) for L in range(two_j + 1) for M in range(-L, L + 1))
 
 
 def _fill(out: np.ndarray, two_j: int, L: int, M: int) -> np.ndarray:
     """Write the diagonal of T_LM into the zero matrix `out` and return it."""
     d = two_j + 1
-    b = np.arange(max(M, 0), min(d, d + M))
-    out[b - M, b] = _sector(two_j, L)[L + M, b]
+    i = np.arange(max(-M, 0), min(d, d - M))
+    out[i, i + M] = _sector(two_j, L)[L + M, i]
     return out
 
 
@@ -140,46 +162,54 @@ class MultipoleExpansion:
         return float(sum(abs(self.coefficient(L, M)) ** 2 for M in range(-L, L + 1)))
 
     def operator(self) -> np.ndarray:
-        """sum rho_LM T_LM, each diagonal offset summed in the expansion's order into one zero matrix."""
+        """sum rho_LM T_LM, gathered per diagonal offset M.
+
+        Each term c * T_LM is the row L + M of its sector scaled by c, in the
+        layout of `_sector`.  The terms are grouped by M in the expansion's
+        own order, and each group is added row after row, as `acc += term`
+        into a zero row would; + 0.0 keeps that row's +0.0 where every term
+        is -0.0, whether np.add.reduce starts from +0.0 or from the first
+        row.  Only the sectors of the L values present are read.
+        """
         two_j = self.spin.two_j
         d = two_j + 1
-        diagonals: Dict[int, np.ndarray] = {}
-        with np.errstate(over="ignore"):  # an overflowing sum is reported below
-            for idx, c in self.coefficients.items():
-                lo, hi = max(idx.M, 0), min(d, d + idx.M)
-                acc = diagonals.get(idx.M)
-                if acc is None:
-                    acc = diagonals[idx.M] = np.zeros(hi - lo, dtype=complex)
-                acc += c * _sector(two_j, idx.L)[idx.L + idx.M, lo:hi]
-        m = np.zeros((d, d), dtype=complex)
-        for M, acc in diagonals.items():
-            b = np.arange(max(M, 0), min(d, d + M))
-            m[b - M, b] = acc
+        flat = np.zeros(d * d + 1, dtype=complex)  # the last slot takes what falls outside the matrix
+        if self.coefficients:
+            L = np.fromiter((idx.L for idx in self.coefficients), int, len(self.coefficients))
+            M = np.fromiter((idx.M for idx in self.coefficients), int, len(self.coefficients))
+            present = np.unique(L)
+            first = np.zeros(d, dtype=int)  # row of T_L,-L among the stacked sectors present
+            first[present] = np.cumsum(2 * present + 1) - (2 * present + 1)
+            order = np.argsort(M, kind="stable")
+            rows = np.concatenate([_sector(two_j, l) for l in present.tolist()])[(first[L] + L + M)[order]]
+            coeffs = np.fromiter(self.coefficients.values(), complex, len(L))[order]
+            offsets, starts = np.unique(M[order], return_index=True)
+            with np.errstate(over="ignore"):  # an overflowing sum is reported below
+                products = coeffs[:, None] * rows
+                sums = [np.add.reduce(group, axis=0) for group in np.split(products, starts[1:])]
+            flat[_diagonal_index(two_j)[offsets + two_j]] = np.array(sums) + 0.0
+        m = flat[:-1].reshape(d, d)
         if not np.isfinite(m).all():
             raise ValueError("operator not finite: a sum of coefficients overflows")
         return m
 
 
 def expand(rho: DensityMatrix) -> MultipoleExpansion:
-    """Hilbert-Schmidt components rho_LM = Tr(rho T_LM^dag), gathered per diagonal offset M.
+    """Hilbert-Schmidt components rho_LM = Tr(rho T_LM^dag), gathered per sector L.
 
-    Tr(rho T_LM^dag) is the sum over rows i of rho[i, i + M] T_LM[i, i + M]:
-    for each M the diagonal of rho at offset M, zero-padded to length 2j+1 at
-    the rows the diagonal misses, is multiplied by row L + M of every sector
-    with L >= |M|, and each product is summed over all 2j+1 rows.
+    Tr(rho T_LM^dag) is the sum over rows i of rho[i, i + M] T_LM[i, i + M].
+    The diagonals of rho are laid out as the sectors are, row M + 2j holding
+    rho[i, i + M] at column i and zero where i + M falls outside the matrix;
+    each sector L is multiplied by the 2L + 1 rows of its offsets, and each
+    product row is summed over all 2j + 1 columns.
     """
     two_j = rho.spin.two_j
     d = two_j + 1
-    table = np.zeros((d, 2 * d - 1), dtype=complex)  # rho_LM at [L, M + 2j]
-    for M in range(-two_j, two_j + 1):
-        lo, hi = max(M, 0), min(d, d + M)  # columns b of the diagonal; its row is i = b - M
-        rows = np.array([_sector(two_j, L)[L + M, lo:hi] for L in range(abs(M), d)])
-        terms = np.zeros((len(rows), d), dtype=complex)
-        terms[:, lo - M:hi - M] = np.diagonal(rho.matrix, M) * rows
-        table[abs(M):, M + two_j] = terms.sum(axis=-1)
-    values = table.tolist()
-    coeffs = {MultipoleIndex(L, M): values[L][M + two_j] for L in range(d) for M in range(-L, L + 1)}
-    return MultipoleExpansion._of_density_matrix(rho.spin, coeffs)
+    diagonals = np.append(rho.matrix.ravel(), 0.0)[_diagonal_index(two_j)]
+    values = np.concatenate([
+        (diagonals[two_j - L:two_j + L + 1] * _sector(two_j, L)).sum(axis=-1) for L in range(d)
+    ]).tolist()
+    return MultipoleExpansion._of_density_matrix(rho.spin, dict(zip(_keys(two_j), values)))
 
 
 def reconstruct(expansion: MultipoleExpansion) -> DensityMatrix:

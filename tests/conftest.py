@@ -205,3 +205,62 @@ def serial_search(spin, k, t, config):
         best_psi = serial_descend(best_psi, ts, 0.0)[0]
     frame = s.SubspaceFrame.from_amplitudes(spin, serial_orthonormalize_rows(best_psi))
     return tuple(records), frame.matrix(), s.objective_g_t(frame, t)
+
+
+# ---------------------------------------------------------------------------
+# Serial protected-negativity oracle: one `negativity` call per weight sample
+# and order, which the stacked suite in rotosense.entanglement must reproduce
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def serial_protected_negativity_suite(frame, t, weight_samples=20, seed=0):
+    """The per-sample suite: a ProtectedNegativityReport built one mixture at a time."""
+    from rotosense.entanglement import (
+        Bipartition,
+        ProtectedNegativityReport,
+        embed_bipartite,
+        negativity,
+    )
+    from rotosense.subspaces import verify_subspace
+
+    def predicted_pt_spectrum(weights, k, t, n):
+        h = n - k * (t + 1) - t + 1
+        vals = []
+        plus_mult = (t + 1) + t * (t + 1) // 2
+        minus_mult = t * (t + 1) // 2
+        for lam in weights:
+            vals.extend([lam / (t + 1)] * plus_mult)
+            vals.extend([-lam / (t + 1)] * minus_mult)
+        vals.extend([0.0] * (h * (t + 1)))
+        return np.sort(np.array(vals))
+
+    if not verify_subspace(frame, t).verified:
+        raise ValueError(f"frame does not certify at order t={t}")
+    spin = frame.spin
+    n = spin.qubit_count
+    k = frame.k
+    rng = np.random.default_rng(seed)
+
+    bip = Bipartition.of(spin, t)
+    da, db = bip.dims
+    rows = []
+    for state in frame.basis:
+        amp = embed_bipartite(state, bip).reshape(da, db)
+        rows.extend(np.sqrt(t + 1) * amp)
+    rows = np.array(rows)
+    gram = rows @ rows.conj().T
+    schmidt_dev = float(np.abs(gram - np.eye(len(rows))).max())
+
+    worst = spectrum_dev = 0.0
+    for _ in range(weight_samples):
+        w = rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
+        rho = DensityMatrix.from_mixture(w, frame.basis)
+        for tp in range(1, t + 1):
+            report = negativity(rho, Bipartition.of(spin, tp))
+            worst = max(worst, abs(report.negativity - tp / 2.0))
+            if tp == t:
+                predicted = predicted_pt_spectrum(w, k, t, n)
+                gap = (np.abs(predicted - np.sort(report.spectrum)).max()
+                       if len(predicted) == len(report.spectrum) else np.inf)
+                spectrum_dev = max(spectrum_dev, float(gap))
+    return ProtectedNegativityReport(frame, t, weight_samples, worst, schmidt_dev, spectrum_dev)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rotosense.entanglement import (
     Bipartition,
     NegativityReport,
     ProtectedNegativityReport,
+    _partial_transpose_spectrum,
     embed_bipartite,
     negativity,
     schmidt_spectrum,
@@ -21,7 +23,7 @@ from rotosense.spin_core import (
     rotation_operator,
 )
 from rotosense.subspaces import catalog, spin2_plane, spin3_one_ac_triple
-from conftest import random_axis, random_density, random_pure
+from conftest import random_axis, random_density, random_pure, serial_protected_negativity_suite
 
 
 class TestEmbedding:
@@ -215,3 +217,48 @@ class TestProtectedNegativitySuite:
         frame = SubspaceFrame.from_amplitudes(s, q.T)
         with pytest.raises(ValueError, match="does not certify"):
             protected_negativity_suite(frame, 1)
+
+    @pytest.mark.parametrize("samples", [0, -1, True, 2.0])
+    def test_weight_samples_must_be_a_positive_count(self, samples):
+        # a suite over no mixture would pass having checked nothing
+        with pytest.raises(ValueError, match="weight_samples must be an integer >= 1"):
+            protected_negativity_suite(spin2_plane(), 1, weight_samples=samples)
+
+    @pytest.mark.parametrize("seed", [-1, True, False, 0.5])
+    def test_seed_must_be_a_count(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            protected_negativity_suite(spin2_plane(), 1, seed=seed)
+
+    def test_numpy_integer_counts_accepted(self):
+        rep = protected_negativity_suite(spin2_plane(), 1, weight_samples=np.int64(1), seed=np.int32(3))
+        assert rep.all_pass
+        assert rep.weight_samples == 1
+
+
+def report_bits(report):
+    """Every field of a ProtectedNegativityReport, floats by their exact bits."""
+    return [(type(v), v.hex()) if isinstance(v, float) else v
+            for v in (getattr(report, f.name) for f in fields(report))]
+
+
+class TestStackedSuiteMatchesSerial:
+    """The suite takes all spectra of one order in one stack; the per-sample loop it replaced is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_every_catalog_entry(self, name):
+        entry = catalog()[name]
+        for seed in range(5):
+            for samples in (1, 20):
+                got = protected_negativity_suite(entry.frame, entry.order_t, samples, seed)
+                want = serial_protected_negativity_suite(entry.frame, entry.order_t, samples, seed)
+                assert report_bits(got) == report_bits(want), (seed, samples)
+
+    @pytest.mark.parametrize("two_j, t", [(2, 1), (5, 2), (8, 3), (12, 6)])
+    def test_stacked_spectra_equal_single_ones(self, rng, two_j, t):
+        s = SpinLabel(two_j)
+        states = [random_density(s, rng), random_density(s, rng, rank=2), DensityMatrix.maximally_mixed(s),
+                  PureState.basis_state(s, two_j).density_matrix()]
+        bip = Bipartition.of(s, t)
+        stacked = _partial_transpose_spectrum(np.stack([rho.matrix for rho in states]), bip)
+        for rho, spectrum in zip(states, stacked):
+            assert negativity(rho, bip).spectrum.tobytes() == spectrum.tobytes()

@@ -1,8 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from rotosense import multipole
 from rotosense.multipole import (
     MultipoleExpansion,
     MultipoleIndex,
@@ -310,3 +312,58 @@ class TestExpandAtTheHermiticityGate:
         big = MultipoleExpansion(SpinLabel(4), {(2, 0): 1.7e308, (3, 0): 1.7e308, (4, 0): 1.7e308})
         with pytest.raises(ValueError, match="overflows"):
             reconstruct(big)
+
+
+def sequential_operator(expansion):
+    """Reference operator: acc += c * T_LM in the expansion's order, from one dense operator at a time."""
+    d = expansion.spin.dimension
+    m = np.zeros((d, d), dtype=complex)
+    for idx, c in expansion.coefficients.items():
+        m += c * multipole_operator(expansion.spin, idx)
+    return m
+
+
+def assert_no_negative_zero(m):
+    for part in (m.real, m.imag):
+        assert not np.signbit(part[part == 0]).any()
+
+
+class TestOperatorEdges:
+    def test_cancelling_terms_give_positive_zero(self):
+        # at 2j = 4 the odd-L sectors vanish at m = 0, so there the terms below are all -0.0
+        s = SpinLabel(4)
+        exp = MultipoleExpansion(s, {(1, 0): -0.5, (3, 0): -0.25})
+        op = exp.operator()
+        assert op[2, 2] == 0
+        assert_no_negative_zero(op)
+        assert op.tobytes() == sequential_operator(exp).tobytes()
+        # two products x * y and -(y * x) cancel exactly at [0, 0]
+        s = SpinLabel(2)
+        t10 = multipole_operator(s, MultipoleIndex(1, 0))[0, 0].real
+        t20 = multipole_operator(s, MultipoleIndex(2, 0))[0, 0].real
+        exp = MultipoleExpansion(s, {(1, 0): t20, (2, 0): -t10})
+        op = exp.operator()
+        assert op[0, 0] == 0
+        assert_no_negative_zero(op)
+        assert op.tobytes() == sequential_operator(exp).tobytes()
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2])
+    def test_smallest_spins_round_trip(self, rng, two_j):
+        s = SpinLabel(two_j)
+        for rho in (random_density(s, rng), DensityMatrix.maximally_mixed(s),
+                    PureState.basis_state(s, two_j).density_matrix()):
+            exp = expand(rho)
+            assert list(exp.coefficients) == all_indices(two_j)
+            back = reconstruct(exp)
+            assert np.abs(back.matrix - rho.matrix).max() < 1e-15
+            assert back.matrix.tobytes() == dense_reconstruct(exp).matrix.tobytes()
+
+    def test_sparse_expansion_builds_only_its_sectors(self, monkeypatch):
+        # a fresh cache of the same builder, so the count does not depend on what ran before
+        fresh = lru_cache(maxsize=None)(multipole._sector.__wrapped__)
+        monkeypatch.setattr(multipole, "_sector", fresh)
+        s = SpinLabel(80)
+        exp = MultipoleExpansion(s, {(0, 0): 1 / 9, (3, 0): 0.01, (5, 2): 0.002 + 0.001j, (5, -2): 0.002 - 0.001j})
+        op = exp.operator()
+        assert fresh.cache_info().misses == 3  # L = 0, 3 and 5 of the 81 sectors
+        assert op.tobytes() == sequential_operator(exp).tobytes()
