@@ -27,6 +27,7 @@ low sectors L <= t (the subspace objective and search, `verify_subspace`,
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -44,6 +45,16 @@ class MultipoleIndex:
     M: int
 
     def __post_init__(self):
+        # numpy integers become ints, so the Racah sums of `_sector` never run in int64
+        if type(self.L) is not int or type(self.M) is not int:
+            try:
+                if isinstance(self.L, bool) or isinstance(self.M, bool):
+                    raise TypeError
+                object.__setattr__(self, "L", operator.index(self.L))
+                object.__setattr__(self, "M", operator.index(self.M))
+            except TypeError:
+                raise ValueError(f"invalid multipole index (L={self.L!r}, M={self.M!r}): "
+                                 "L and M must be integers") from None
         if self.L < 0 or abs(self.M) > self.L:
             raise ValueError(f"invalid multipole index (L={self.L}, M={self.M})")
 

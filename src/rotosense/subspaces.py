@@ -15,7 +15,11 @@ which converge where first-order steps crawl toward a zero.  A restart whose
 first-order steps settle at a positive stationary point stops there.  Each
 restart is one coroutine; all pending trials of a search are evaluated
 together by stacked kernels, each exactly as it would be alone; a trial
-that repeats its restart's last one bit for bit is not scored again.
+that repeats its restart's last one bit for bit is not scored again.  A
+first-order trial is a step request (psi, g, step): `_descend` forms all of
+a round's steps in one stack, and its reply carries the two sums of the
+next Barzilai-Borwein step.  The QR retraction calls LAPACK's QR gufuncs
+directly, with np.linalg.qr as the fallback where numpy lacks them.
 """
 
 from __future__ import annotations
@@ -143,16 +147,6 @@ def objective_g_lm(frame: SubspaceFrame, L: int, M: int) -> float:
     return _pair_sum(m @ multipole_operator(frame.spin, MultipoleIndex(L, M)) @ m.conj().T)
 
 
-def objective_g_lm_trace(frame: SubspaceFrame, L: int, M: int) -> float:
-    """Projector form Tr(Pi T_LM Pi T_LM^dag) = ||Psi T_LM Psi^dag||_F^2.
-
-    Counts off-diagonal pairs twice relative to `objective_g_lm`; both vanish
-    together once summed over M.
-    """
-    m = frame.matrix()
-    return float(np.sum(np.abs(m @ multipole_operator(frame.spin, MultipoleIndex(L, M)) @ m.conj().T) ** 2))
-
-
 def objective_g_t(frame: SubspaceFrame, t: int) -> float:
     """G_t = sum over L = 1..t and all M of the pairwise objective."""
     m = frame.matrix()
@@ -177,10 +171,41 @@ def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
 # Numerical search
 # ---------------------------------------------------------------------------
 
+def _lapack_qr(a: np.ndarray):
+    """Q of the reduced QR of the complex (..., m, n) stack `a`, m >= n, and the diagonal of R.
+
+    The two LAPACK gufuncs behind `np.linalg.qr`, called as it calls them but
+    without its checks, copy and `triu`: `qr_r_raw` factors `a` in place
+    (R on and above the diagonal, the Householder vectors below it) and
+    `qr_reduced` forms Q from them.  `casting="no"` refuses a real stack,
+    whose in-place result would land in a discarded cast buffer.
+    """
+    tau = _qr_r_raw(a, signature="D->D", casting="no")
+    return _qr_reduced(a, tau, signature="DD->D"), np.diagonal(a, axis1=-2, axis2=-1)
+
+
+def _linalg_qr(a: np.ndarray):
+    """`_lapack_qr` through `np.linalg.qr`: the same LAPACK calls, so the same bits."""
+    q, r = np.linalg.qr(a)
+    return q, np.diagonal(r, axis1=-2, axis2=-1)
+
+
+try:  # private to numpy, so np.linalg.qr serves where either gufunc is missing
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
+    _qr = _lapack_qr
+except ImportError:
+    _qr = _linalg_qr
+
+
 def _orthonormalize_rows(psi: np.ndarray) -> np.ndarray:
-    """QR retraction of the rows of a frame, or of each frame in a (..., k, d) stack."""
-    q, r = np.linalg.qr(psi.conj().swapaxes(-1, -2))
-    phases = np.sign(np.diagonal(r, axis1=-2, axis2=-1).real + 1e-300)
+    """QR retraction of the rows of a complex frame, or of each frame in a (..., k, d) stack.
+
+    `psi.conj()` is a fresh array, so it is factored in place, in its
+    transposed (column-major per frame) layout: LAPACK reads that layout
+    without a transposing copy.  The result holds each frame column-major.
+    """
+    q, diagonal = _qr(psi.conj().swapaxes(-1, -2))
+    phases = np.sign(diagonal.real + 1e-300)
     return (q * phases[..., None, :]).conj().swapaxes(-1, -2)
 
 
@@ -272,15 +297,22 @@ def _restart(psi, f, g, gn2, ts, gate):
     where its steps no longer descend.  One iteration is one gradient with
     its backtracks or one Jacobian with its trial steps.
 
-    Each trial frame is yielded before retraction; the reply is (retracted
-    frame, f, g, gn2) at it.  Returns (psi, f, iterations, reason,
-    evaluations), where reason is "gate", "stall" (g vanished), "stationary"
-    (a positive stationary point), "iteration_cap" or "backtrack_exhausted"
-    (MAX_BACKTRACKS tries failed).
+    A phase-1 trial is yielded as the step request (psi, g, step), for the
+    frame psi - step * g; a Levenberg-Marquardt trial is yielded as the
+    frame itself, each before retraction.  The reply is (retracted frame, f,
+    g, gn2, products) at the trial.  For a step request, products is
+    (sum |dpsi|^2, |sum Re(conj(dpsi) dg)|), with dpsi and dg the changes of
+    frame and gradient from the request's psi and g: the numerator and
+    denominator of the Barzilai-Borwein step that follows if the trial is
+    accepted.  For a bare frame it is None.  After a Levenberg-Marquardt step the next first-order
+    iteration keeps its step.  Returns (psi, f, iterations, reason,
+    evaluations), where reason is "gate", "stall" (g vanished),
+    "stationary" (a positive stationary point), "iteration_cap" or
+    "backtrack_exhausted" (MAX_BACKTRACKS tries failed).
     """
     evaluations = 1
     step = INITIAL_STEP / max(1.0, float(np.linalg.norm(g)))
-    prev = None
+    products = None  # of the last accepted first-order step
     damping = LM_INITIAL_DAMPING
     second_order = True
     iterations = 0
@@ -302,11 +334,11 @@ def _restart(psi, f, g, gn2, ts, gate):
                 except np.linalg.LinAlgError:  # damping * f too small to lift the null space
                     damping *= LM_DAMPING_GROWTH
                     continue
-                cand, fc, gc, gn2c = yield psi + x[0] + 1j * x[1]
+                cand, fc, gc, gn2c, _ = yield psi + x[0] + 1j * x[1]
                 evaluations += 1
                 if fc < f:
                     damping /= LM_DAMPING_GROWTH
-                    prev = None
+                    products = None
                     psi, f, g, gn2 = cand, fc, gc, gn2c
                     break
                 damping *= LM_DAMPING_GROWTH
@@ -320,14 +352,10 @@ def _restart(psi, f, g, gn2, ts, gate):
             reason = "stationary"
             break
         iterations += 1
-        if prev is not None:
-            dpsi = psi - prev[0]
-            dg = g - prev[1]
-            denom = abs(float((dpsi.conj() * dg).real.sum()))
-            if denom > 1e-300:
-                step = float((np.abs(dpsi) ** 2).sum()) / denom
+        if products is not None and products[1] > 1e-300:
+            step = products[0] / products[1]
         for _bt in range(MAX_BACKTRACKS):
-            cand, fc, gc, gn2c = yield psi - step * g
+            cand, fc, gc, gn2c, products_c = yield psi, g, step
             evaluations += 1
             if fc < f - ARMIJO * step * gn2 or fc < f * (1 - 1e-12):
                 break
@@ -335,8 +363,7 @@ def _restart(psi, f, g, gn2, ts, gate):
         else:
             reason = "backtrack_exhausted"
             break
-        prev = (psi, g)
-        psi, f, g, gn2 = cand, fc, gc, gn2c
+        psi, f, g, gn2, products = cand, fc, gc, gn2c, products_c
     if f <= gate:
         reason = "gate"
     return psi, f, iterations, reason, evaluations
@@ -352,15 +379,31 @@ def _evaluate(psi, wide):
 def _descend(psi, ts, gate):
     """Run one `_restart` per frame of the (R, k, d) stack `psi`, evaluating their trials together.
 
-    In each round every restart that has not stopped yields one trial frame;
-    one stacked QR retracts them all and one batched `_evaluate` scores them.
-    The stacked kernels sum each frame in the order they sum it alone, so each
-    restart's floats are bit for bit those it computes alone.  A reply thus
-    depends only on the bytes of the trial, and each restart's last trial
-    and reply are kept: a trial whose bytes repeat the last one (a backtrack
-    whose step has fallen below the spacing of the floats, so that
-    psi - step * g == psi) gets the kept reply again, and only distinct
-    trials are retracted and scored.  Returns (psi, f, iterations, reasons,
+    In each round every restart that has not stopped yields one trial: a
+    step request (psi, g, step) or a bare frame.  One stacked
+    base - steps * grads forms every requested step, one stacked QR
+    retracts the round's trials and one batched `_evaluate` scores them.
+    The stacked kernels sum each frame in the order they sum it alone, so
+    each restart's floats are bit for bit those it computes alone.  The
+    Barzilai-Borwein products of a step request are summed over the stack
+    with each frame in the layout a restart holds it, column-major for
+    frames (each comes from `_orthonormalize_rows`, the start frames
+    included) and row-major for gradients and for their products, and so
+    in the order a sum over one frame takes; they are bit for bit those of
+    the restart-local formula.
+
+    A reply thus depends only on the bytes of the trial and, for its
+    products, on the request's base psi and g.  Each restart's last trial
+    and reply are kept: a trial whose bytes repeat the last one (a
+    backtrack whose step has fallen below the spacing of the floats, so
+    that psi - step * g == psi) gets the kept reply again, and only
+    distinct trials are retracted and scored.  A kept reply may carry
+    products against an earlier base, but it is then never accepted: a
+    restart's base moves only when it accepts its last trial, so after a
+    move the kept reply is the one to that trial, its f is the restart's
+    current f, and both acceptance tests need a strictly lower one.  A step
+    request whose kept reply answered a bare frame, and so has no
+    products, is scored again.  Returns (psi, f, iterations, reasons,
     evaluations), one entry per restart.
     """
     wide = _wide(ts)
@@ -369,21 +412,54 @@ def _descend(psi, ts, gate):
     # live restart -> (bytes of its last trial, the reply to it); None primes the coroutine
     last = dict.fromkeys(range(len(restarts)), (None, None))
     while last:
-        trials = {}
-        for r, (key, reply) in list(last.items()):
+        stepped, bare = {}, {}
+        for r, (_, reply) in list(last.items()):
             try:
-                trial = restarts[r].send(reply)
+                request = restarts[r].send(reply)
             except StopIteration as stop:
                 results[r] = stop.value
                 del last[r]
                 continue
+            if type(request) is tuple:
+                stepped[r] = request
+            else:
+                bare[r] = request
+        scored, keep = [], []  # (restart, trial bytes) to score; the stepped rows among them
+        if stepped:
+            bases, grads, steps = zip(*stepped.values())
+            base = np.array([p.T for p in bases])  # (n, d, k): the frames transposed
+            grad = np.array(grads)
+            trials = base.swapaxes(1, 2) - np.array(steps)[:, None, None] * grad
+            for i, (r, trial) in enumerate(zip(stepped, trials)):
+                key, reply = last[r]
+                trial_key = trial.tobytes()
+                if trial_key != key or reply[4] is None:
+                    scored.append((r, trial_key))
+                    keep.append(i)
+            if len(keep) < len(trials):
+                trials, base, grad = trials[keep], base[keep], grad[keep]
+        for r, trial in bare.items():
             trial_key = trial.tobytes()
-            if trial_key != key:
-                trials[r] = trial_key, trial
-        if trials:
-            q = _orthonormalize_rows(np.array([trial for _, trial in trials.values()]))
-            for (r, (trial_key, _)), reply in zip(trials.items(), zip(q, *_evaluate(q, wide))):
-                last[r] = trial_key, reply
+            if trial_key != last[r][0]:
+                scored.append((r, trial_key))
+        if not scored:
+            continue
+        n = len(keep)  # the stepped trials come first in the stack
+        frames = [bare[r] for r, _ in scored[n:]]
+        if not frames:
+            stack = trials
+        else:
+            stack = np.concatenate([trials, frames]) if n else np.array(frames)
+        q = _orthonormalize_rows(stack)
+        f, g, gn2 = _evaluate(q, wide)
+        products = [None] * len(scored)
+        if n:
+            dpsi = q[:n].swapaxes(1, 2) - base  # transposed, so each frame is summed column-major
+            num = (np.abs(dpsi) ** 2).sum(axis=(1, 2))
+            den = np.abs((dpsi.swapaxes(1, 2).conj() * (g[:n] - grad)).real.sum(axis=(1, 2)))
+            products[:n] = zip(num.tolist(), den.tolist())
+        for (r, trial_key), reply in zip(scored, zip(q, f, g, gn2, products)):
+            last[r] = trial_key, reply
     frames, f, iterations, reasons, evaluations = map(list, zip(*results))
     # stacked so that each frame keeps the memory layout _orthonormalize_rows gives it
     return np.array([p.T for p in frames]).swapaxes(1, 2), f, iterations, reasons, evaluations
@@ -426,9 +502,9 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
 
 def upper_bound_kmax(spin: SpinLabel, t: int) -> int:
     """floor((2j - t + 1)/(t + 1)), from counting orthonormal Schmidt vectors."""
-    if not 1 <= t <= spin.two_j:
-        raise ValueError(f"t must be in 1..2j = {spin.two_j}")
-    return (spin.two_j - t + 1) // (t + 1)
+    if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or not 1 <= t <= spin.two_j:
+        raise ValueError(f"t must be an integer in 1..2j = {spin.two_j}, got {t!r}")
+    return (spin.two_j - int(t) + 1) // (int(t) + 1)
 
 
 @dataclass(frozen=True)

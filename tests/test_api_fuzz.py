@@ -28,8 +28,10 @@ from rotosense import (
     qfi_quadratic_form,
     rotation_operator,
     rotation_operator_euler,
+    upper_bound_kmax,
 )
 from rotosense.metrology import qfi_from_moments
+from rotosense.multipole import multipole_operator
 from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150,
@@ -118,8 +120,11 @@ def test_rotation_operator_euler(spin, alpha, beta, gamma):
     assert u is None or finite(u), (alpha, beta, gamma)
 
 
+# numpy integer types, which MultipoleIndex and upper_bound_kmax turn into ints
+numpy_integers = st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.intp])
 keys = st.one_of(
     st.tuples(st.integers(-1, 8), st.integers(-8, 8)),
+    st.tuples(st.integers(-1, 8), st.integers(-8, 8), numpy_integers).map(lambda k: (k[2](k[0]), k[2](k[1]))),
     st.tuples(st.integers(0, 8), st.integers(-8, 8)).map(lambda k: MultipoleIndex(k[0], max(-k[0], min(k[0], k[1])))),
     st.sampled_from([5, "ab", (1,), (1, 0, 0), (1.5, 0.5), (True, False), None]),
 )
@@ -141,6 +146,19 @@ def coefficient_maps(draw):
             except (TypeError, ValueError, ZeroDivisionError):
                 pass
     return coeffs if draw(st.integers(0, 9)) else draw(st.sampled_from([list(coeffs.items()), [1, 2], "ab", None]))
+
+
+@FUZZ
+@given(spin=spins, L=st.integers(-1, 8), M=st.integers(-8, 8), kind=numpy_integers)
+def test_numpy_integer_indices(spin, L, M, kind):
+    index = outcome(MultipoleIndex, kind(L), kind(M))
+    assert (index is None) == (outcome(MultipoleIndex, L, M) is None)
+    if index is not None:
+        assert (type(index.L), type(index.M)) == (int, int) and index == MultipoleIndex(L, M)
+        matrix = outcome(multipole_operator, spin, index)
+        assert matrix is None or matrix.tobytes() == multipole_operator(spin, MultipoleIndex(L, M)).tobytes()
+    bound = outcome(upper_bound_kmax, spin, kind(L))
+    assert bound is None or (type(bound) is int and bound == upper_bound_kmax(spin, L))
 
 
 @FUZZ

@@ -145,6 +145,23 @@ class TestOperators:
         with pytest.raises(ValueError):
             multipole_operator(SpinLabel(2), MultipoleIndex(3, 0))
 
+    def test_numpy_integer_index_becomes_int(self):
+        # with an empty cache a numpy L would reach the integer Racah sum of
+        # _sector, which overflows int64 at 2j = 20, L = 10
+        multipole._sector.cache_clear()
+        index = MultipoleIndex(np.int64(10), np.int64(1))
+        assert (type(index.L), type(index.M)) == (int, int)
+        assert index == MultipoleIndex(10, 1) and hash(index) == hash(MultipoleIndex(10, 1))
+        got = multipole_operator(SpinLabel(20), index)
+        multipole._sector.cache_clear()
+        assert got.tobytes() == multipole_operator(SpinLabel(20), MultipoleIndex(10, 1)).tobytes()
+        assert type(MultipoleIndex(np.uint8(3), np.int8(-2)).M) is int
+
+    @pytest.mark.parametrize("L, M", [(True, 0), (1, False), (1.0, 0), (1, 0.0), ("1", 0), (None, 0)])
+    def test_non_integer_index_rejected(self, L, M):
+        with pytest.raises(ValueError, match="must be integers"):
+            MultipoleIndex(L, M)
+
     def test_stack_is_cached_and_readonly(self):
         a = multipole_stack(4, 1, 2)
         b = multipole_stack(4, 1, 2)

@@ -8,7 +8,7 @@ import pytest
 
 from rotosense.spin_core import PureState, SpinLabel, rotation_operator_euler
 from rotosense import subspaces
-from rotosense.multipole import multipole_stack
+from rotosense.multipole import MultipoleIndex, multipole_operator, multipole_stack
 from rotosense.subspaces import (
     DESCENT_GATE,
     LM_ENTRY,
@@ -29,7 +29,6 @@ from rotosense.subspaces import (
     construct_two_ac_family,
     kmax_scan,
     objective_g_lm,
-    objective_g_lm_trace,
     objective_g_t,
     one_ac_family_dimension,
     rotation_equivalent,
@@ -58,6 +57,16 @@ def einsum_g_t(frame, t):
     blocks = np.einsum("kd,ade,le->akl", m, ts, m.conj())
     iu = np.triu_indices(frame.k)
     return float(np.sum(np.abs(blocks[:, iu[0], iu[1]]) ** 2))
+
+
+def objective_g_lm_trace(frame, L, M):
+    """Projector form Tr(Pi T_LM Pi T_LM^dag) = ||Psi T_LM Psi^dag||_F^2 of one (L, M) term.
+
+    Counts off-diagonal pairs twice relative to `objective_g_lm`; both vanish
+    together once summed over M.
+    """
+    m = frame.matrix()
+    return float(np.sum(np.abs(m @ multipole_operator(frame.spin, MultipoleIndex(L, M)) @ m.conj().T) ** 2))
 
 
 def random_frame(spin, k, rng):
@@ -435,6 +444,212 @@ class TestRepeatedTrials:
         assert replies[3][1] != first[1]
 
 
+def local_products(reply, psi, g):
+    """The Barzilai-Borwein numerator and denominator of a step from (psi, g), as a restart takes them alone."""
+    dpsi = reply[0] - psi
+    dg = reply[2] - g
+    return float((np.abs(dpsi) ** 2).sum()), abs(float((dpsi.conj() * dg).real.sum()))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStepRequests:
+    """Phase-1 trials are step requests; `_descend` forms, retracts and scores them as one stack."""
+
+    @pytest.mark.parametrize("two_j, k, t, restarts", [
+        (1, 1, 1, 1), (4, 2, 1, 16), (8, 2, 2, 5), (10, 2, 2, 16), (9, 4, 1, 7), (17, 8, 1, 16), (14, 3, 2, 3),
+    ])
+    def test_products_match_the_restart_local_formula(self, monkeypatch, two_j, k, t, restarts):
+        # each restart moves its base to every reply, and every third round
+        # repeats its last request instead, which `_descend` answers from its
+        # memo while it scores the other rows of the stack
+        checked, repeated, started = [], [], []
+
+        def restart(psi, f, g, gn2, ts, gate):
+            index = len(started)
+            started.append(index)
+            rng = np.random.default_rng(index)
+            request = reply = None
+            for round_ in range(12):
+                if round_ and round_ % 3 == index % 3:
+                    repeated.append((yield request) is reply)
+                    continue
+                request = psi, g, float(rng.uniform(1e-4, 0.3))
+                reply = yield request
+                checked.append(bits(reply[4]) == bits(local_products(reply, psi, g)))
+                psi, g = reply[0], reply[2]
+            return psi, reply[1], 12, "iteration_cap", 13
+
+        monkeypatch.setattr(subspaces, "_restart", restart)
+        subspaces._descend(seeded_starts(two_j, k, 20240031, restarts), multipole_stack(two_j, 1, t), 0.0)
+        assert len(checked) >= 8 * restarts and all(checked)
+        assert repeated and all(repeated)
+
+    def test_kept_reply_after_a_base_move_is_not_accepted(self, monkeypatch):
+        ts = multipole_stack(8, 1, 2)
+        start = seeded_starts(8, 2, 20240003, 1)
+        seen = {}
+
+        def restart(psi, f, g, gn2, ts, gate):
+            trial = psi - 1e-6 * g
+            first = yield psi, g, 1e-6
+            # accept: the base moves to the retracted trial, and the next
+            # request, from the new base, forms a frame with the trial's bytes
+            base = first[0]
+            diff = base - trial
+            assert (base - 1.0 * diff).tobytes() == trial.tobytes()
+            again = yield base, diff, 1.0
+            seen.update(first=first, again=again, psi=psi, g=g)
+            return base, first[1], 2, "gate", 3
+
+        monkeypatch.setattr(subspaces, "_restart", restart)
+        scored = TestRepeatedTrials.recording_scorer(monkeypatch)
+        subspaces._descend(start, ts, 0.0)
+        first, again = seen["first"], seen["again"]
+        assert len(scored) == 2  # the start frame and the first trial: the repeat is answered from the memo
+        assert again is first
+        # its products are against the old base, not the new one (from which
+        # the step is zero), but its f is the f at the new base, so neither
+        # acceptance test of _restart holds
+        assert bits(again[4]) == bits(local_products(first, seen["psi"], seen["g"]))
+        assert bits(local_products(again, first[0], first[2])) == bits((0.0, 0.0)) != bits(again[4])
+        f, gn2 = first[1], first[3]
+        assert not (again[1] < f - subspaces.ARMIJO * 1.0 * gn2 or again[1] < f * (1 - 1e-12))
+
+    def test_step_request_repeating_a_bare_frame_is_scored_again(self, monkeypatch):
+        ts = multipole_stack(8, 1, 2)
+        start = seeded_starts(8, 2, 20240003, 1)
+        seen = []
+
+        def restart(psi, f, g, gn2, ts, gate):
+            bare = yield psi - 1e-6 * g
+            stepped = yield psi, g, 1e-6
+            seen.extend((bare, stepped, local_products(stepped, psi, g)))
+            return psi, f, 2, "gate", 3
+
+        monkeypatch.setattr(subspaces, "_restart", restart)
+        scored = TestRepeatedTrials.recording_scorer(monkeypatch)
+        subspaces._descend(start, ts, 0.0)
+        bare, stepped, products = seen
+        assert bare[4] is None and len(scored) == 3
+        assert stepped[0].tobytes() == bare[0].tobytes() and stepped[1] == bare[1]
+        assert bits(stepped[4]) == bits(products)
+
+    @pytest.mark.parametrize("two_j, k, t, seed, restarts", [
+        (10, 2, 2, 20240004, 16),  # crawl cell: LM entry, rejections, fallback to phase 1
+        (8, 2, 2, 20240003, 16),   # (4,2,2) miss
+    ])
+    def test_search_replies_carry_the_local_products(self, monkeypatch, two_j, k, t, seed, restarts):
+        # every reply to a step request has the restart-local products, or is a
+        # kept reply to the trial whose acceptance moved the base
+        real = subspaces._restart
+        fresh, kept = [], []
+
+        def checked(psi, f, g, gn2, ts, gate):
+            inner = real(psi, f, g, gn2, ts, gate)
+            reply = None
+            while True:
+                try:
+                    request = inner.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                reply = yield request
+                if type(request) is tuple:
+                    base, grad, _ = request
+                    if bits(reply[4]) == bits(local_products(reply, base, grad)):
+                        fresh.append(True)
+                    else:
+                        kept.append(reply[0].tobytes() == base.tobytes())
+
+        monkeypatch.setattr(subspaces, "_restart", checked)
+        config = SearchConfig(seed=seed, restarts=restarts)
+        result = search_subspace(SpinLabel(two_j), k, t, config)
+        assert len(fresh) > 1000 and all(kept)
+        records, frame_matrix, _ = serial_search(SpinLabel(two_j), k, t, config)
+        assert result.records == records
+        assert result.certificate.frame.matrix().tobytes() == frame_matrix.tobytes()
+
+
+class TestQrRetraction:
+    """The retraction calls LAPACK's QR gufuncs directly, with the bits of np.linalg.qr."""
+
+    @staticmethod
+    def stacks():
+        """2,070 random stacks: every k in 1..8 and d in max(k, 2)..18, R cycling through 1..16, two layouts."""
+        rng = np.random.default_rng(20240041)
+        n = 0
+        for k in range(1, 9):
+            for d in range(max(k, 2), 19):
+                for _ in range(18):
+                    R = n % 16 + 1
+                    n += 1
+                    x = rng.normal(size=(R, k, d)) + 1j * rng.normal(size=(R, k, d))
+                    # row-major trial stacks, as `_descend` forms them, or
+                    # column-major frames, as it holds the start frames
+                    yield x if n % 2 else np.ascontiguousarray(x.swapaxes(1, 2)).swapaxes(1, 2)
+
+    @staticmethod
+    def linalg_retraction(psi):
+        q, r = np.linalg.qr(psi.conj().swapaxes(-1, -2))
+        phases = np.sign(np.diagonal(r, axis1=-2, axis2=-1).real + 1e-300)
+        return (q * phases[..., None, :]).conj().swapaxes(-1, -2)
+
+    def test_matches_the_serial_oracle_byte_for_byte(self):
+        count = 0
+        for psi in self.stacks():
+            count += 1
+            got = subspaces._orthonormalize_rows(psi)
+            want = self.linalg_retraction(psi)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+            for frame, row in zip(psi, got):
+                assert row.tobytes() == serial_orthonormalize_rows(frame).tobytes()
+        assert count >= 2000
+        # one frame, as the polished hit is retracted
+        assert subspaces._orthonormalize_rows(psi[0]).tobytes() == serial_orthonormalize_rows(psi[0]).tobytes()
+
+    def test_input_is_left_unchanged(self):
+        psi = seeded_starts(9, 3, 20240042, 4)
+        before = psi.copy()
+        subspaces._orthonormalize_rows(psi)
+        assert psi.tobytes() == before.tobytes()
+
+    def test_real_stack_is_refused(self):
+        with pytest.raises(TypeError):
+            subspaces._orthonormalize_rows(np.eye(3)[:2])
+
+    def test_linalg_fallback_has_the_same_bits(self, monkeypatch):
+        stacks = list(self.stacks())[::20]
+        want = [subspaces._orthonormalize_rows(psi) for psi in stacks]
+        monkeypatch.setattr(subspaces, "_qr", subspaces._linalg_qr)
+        for psi, w in zip(stacks, want):
+            got = subspaces._orthonormalize_rows(psi)
+            assert got.tobytes() == w.tobytes() and got.strides == w.strides
+        config = SearchConfig(seed=20240004, restarts=4)
+        records, frame_matrix, _ = serial_search(SpinLabel(10), 2, 2, config)
+        result = search_subspace(SpinLabel(10), 2, 2, config)
+        assert result.records == records
+        assert result.certificate.frame.matrix().tobytes() == frame_matrix.tobytes()
+
+    def test_fallback_is_chosen_at_import_without_the_gufuncs(self, monkeypatch):
+        import importlib.util
+
+        from numpy.linalg import _umath_linalg
+
+        name = "rotosense._subspaces_without_qr_gufuncs"
+        spec = importlib.util.spec_from_file_location(name, subspaces.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        with monkeypatch.context() as m:
+            m.delattr(_umath_linalg, "qr_reduced")
+            spec.loader.exec_module(module)
+        assert module._qr is module._linalg_qr
+        assert subspaces._qr is subspaces._lapack_qr
+        psi = seeded_starts(10, 2, 20240004, 3)
+        assert module._orthonormalize_rows(psi).tobytes() == subspaces._orthonormalize_rows(psi).tobytes()
+
+
 class TestStationaryStop:
     """Phase 1 stops at a positive first-order stationary point, and only there."""
 
@@ -524,6 +739,14 @@ class TestBounds:
         assert upper_bound_kmax(SpinLabel(7), 2) == 2
         assert upper_bound_kmax(SpinLabel(3), 1) == 1
         assert upper_bound_kmax(SpinLabel(9), 1) == 4
+
+    def test_upper_bound_is_an_int_for_numpy_orders(self):
+        for t in (np.int64(1), np.int32(2), np.uint8(3)):
+            bound = upper_bound_kmax(SpinLabel(9), t)
+            assert type(bound) is int and bound == upper_bound_kmax(SpinLabel(9), int(t))
+        for t in (True, 1.0, "1", 0, 10):
+            with pytest.raises(ValueError, match="t must be an integer"):
+                upper_bound_kmax(SpinLabel(9), t)
 
     def test_kmax_scan_spin2(self):
         scan = kmax_scan(SpinLabel(4), 1, SearchConfig(seed=31, restarts=12))
