@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 import numpy as np
 
 from .multipole import MultipoleExpansion, MultipoleIndex, multipole_operator, multipole_stack
-from .spin_core import DensityMatrix, SpinLabel, embedding_isometry
+from .spin_core import DensityMatrix, SpinLabel, check_count, embedding_isometry
 
 ANTICOHERENCE_TOL = 1e-8
 MEASURE_TOL = 1e-9
@@ -33,6 +33,7 @@ def reduced_state(rho: DensityMatrix, t: int) -> DensityMatrix:
     Clebsch-Gordan embedding followed by a partial trace over the second
     factor.
     """
+    t = check_count("t", t, 1)
     e = embedding_isometry(rho.spin.two_j, t)
     da, db = t + 1, rho.spin.qubit_count - t + 1
     big = (e @ rho.matrix @ e.T).reshape(da, db, da, db)
@@ -62,9 +63,7 @@ def is_anticoherent(rho: DensityMatrix, t: int) -> AnticoherenceCheck:
     matching the moment definition (J_n^K moments with K > 2j are spanned by
     the lower ones).
     """
-    if t < 1:
-        raise ValueError("order t must be >= 1")
-    l_max = min(t, rho.spin.two_j)
+    l_max = min(check_count("order t", t, 1), rho.spin.two_j)
     if l_max < 1:
         return AnticoherenceCheck(0.0)
     ts = multipole_stack(rho.spin.two_j, 1, l_max)

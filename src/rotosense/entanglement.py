@@ -15,8 +15,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .spin_core import DensityMatrix, PureState, SpinLabel, embedding_isometry
-from .subspaces import SubspaceFrame, _check_count, verify_subspace
+from .spin_core import DensityMatrix, PureState, SpinLabel, check_count, embedding_isometry
+from .subspaces import SubspaceFrame, verify_subspace
 
 NEGATIVITY_TOL = 1e-9
 
@@ -29,7 +29,9 @@ class Bipartition:
     n_total: int
 
     def __post_init__(self):
-        if not 1 <= self.t <= self.n_total - 1:
+        object.__setattr__(self, "t", check_count("t", self.t, 1))
+        object.__setattr__(self, "n_total", check_count("n_total", self.n_total, 1))
+        if not self.t <= self.n_total - 1:
             raise ValueError(f"need 1 <= t <= N-1, got t={self.t}, N={self.n_total}")
 
     @classmethod
@@ -159,8 +161,8 @@ def protected_negativity_suite(
     drawn from `seed` first; each mixture is built as a DensityMatrix, and
     the spectra of all of them are taken together, one stack per order t'.
     """
-    _check_count("weight_samples", weight_samples, 1)
-    _check_count("seed", seed, 0)
+    check_count("weight_samples", weight_samples, 1)
+    check_count("seed", seed, 0)
     if not verify_subspace(frame, t).verified:
         raise ValueError(f"frame does not certify at order t={t}")
     spin = frame.spin

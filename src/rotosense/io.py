@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 import scipy
 
-from .spin_core import DensityMatrix, PureState, SpinLabel
-from .subspaces import SubspaceFrame, _check_count
+from .spin_core import DensityMatrix, PureState, SpinLabel, check_count
+from .subspaces import SubspaceFrame
 
 TOOL_VERSION = "rotosense 0.1.0"
 
@@ -164,8 +164,8 @@ def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
     data = _read_json(path)
     spin = SpinLabel(_field(data, "two_j"))
     k, t, objective = (_field(data, name) for name in ("k", "t", "objective"))
-    _check_count("k", k, 1)
-    _check_count("t", t, 1)
+    check_count("k", k, 1)
+    check_count("t", t, 1)
     basis = _field(data, "basis", lambda rows: tuple(PureState(spin, a) for a in _from_pairs(rows, 2)))
     frame = SubspaceFrame(spin, basis)
     if frame.k != k:
@@ -174,7 +174,7 @@ def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
         raise ValueError(f"objective must be a number, got {objective!r}")
     seed = data.get("seed")
     if seed is not None:
-        _check_count("seed", seed, 0)
+        check_count("seed", seed, 0)
     return SubspaceFileContent(frame, t, float(objective), seed)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .anticoherence import ANTICOHERENCE_TOL, is_anticoherent
 from .metrology import averaged_inverse_qfi_from_form, qfi_quadratic_form
-from .spin_core import DensityMatrix, PureState, SpinLabel, eigen_mixture
+from .spin_core import DensityMatrix, PureState, SpinLabel, check_count, eigen_mixture
 from .subspaces import SUCCESS_THRESHOLD, SubspaceFrame, objective_g_t, spin2_plane, spin3_one_ac_triple
 
 
@@ -188,8 +188,7 @@ class QcrbFloor:
 
 
 def qcrb_floor(spin: SpinLabel, repetitions: int = 1) -> QcrbFloor:
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    repetitions = check_count("repetitions", repetitions, 1)
     j = spin.j
     if j == 0:
         return QcrbFloor(math.inf, math.inf)

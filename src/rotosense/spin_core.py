@@ -67,6 +67,13 @@ def _finite_angle(angle) -> float:
     return a
 
 
+def check_count(name: str, value, least: int) -> int:
+    """`value` as an int, checked to be an integer (a Python or numpy one, not a bool) >= least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def check_orthonormal(spin: SpinLabel, states, what: str) -> None:
     """Raise unless `states` are spin-j states whose amplitude vectors are orthonormal within ORTHONORMALITY_TOL."""
     if any(s.spin != spin for s in states):

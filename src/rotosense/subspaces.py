@@ -15,10 +15,10 @@ which converge where first-order steps crawl toward a zero.  A restart whose
 first-order steps settle at a positive stationary point stops there.  Each
 restart is one coroutine; all pending trials of a search are evaluated
 together by stacked kernels, each exactly as it would be alone; a trial
-that repeats its restart's last one bit for bit is not scored again.  A
-first-order trial is a step request (psi, g, step): `_descend` forms all of
-a round's steps in one stack, and its reply carries the two sums of the
-next Barzilai-Borwein step.  The QR retraction calls LAPACK's QR gufuncs
+that repeats its restart's last one bit for bit is not scored again.  Every
+trial is a step request (psi, direction, step): `_descend` forms all of a
+round's steps in one stack, and its reply carries the two sums of the next
+Barzilai-Borwein step.  The QR retraction calls LAPACK's QR gufuncs
 directly, with np.linalg.qr as the fallback where numpy lacks them.
 """
 
@@ -31,7 +31,7 @@ from typing import ClassVar, Dict, List, Tuple
 import numpy as np
 
 from .multipole import MultipoleIndex, multipole_operator, multipole_stack
-from .spin_core import PureState, SpinLabel, angular_momentum_operators, check_orthonormal, rotation_operator_euler
+from .spin_core import PureState, SpinLabel, angular_momentum_operators, check_count, check_orthonormal, rotation_operator_euler
 
 SUCCESS_THRESHOLD = 1e-10
 ROTATION_EQUIVALENCE_TOL = 1e-8
@@ -122,13 +122,8 @@ class SearchConfig:
     max_iterations: ClassVar[int] = MAX_ITERATIONS
 
     def __post_init__(self):
-        _check_count("seed", self.seed, 0)
-        _check_count("restarts", self.restarts, 1)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_count("seed", self.seed, 0)
+        check_count("restarts", self.restarts, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ def objective_g_lm(frame: SubspaceFrame, L: int, M: int) -> float:
 def objective_g_t(frame: SubspaceFrame, t: int) -> float:
     """G_t = sum over L = 1..t and all M of the pairwise objective."""
     m = frame.matrix()
-    return _pair_sum(m @ multipole_stack(frame.spin.two_j, 1, t) @ m.conj().T)
+    return _pair_sum(m @ multipole_stack(frame.spin.two_j, 1, check_count("t", t, 1)) @ m.conj().T)
 
 
 def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
@@ -164,6 +159,7 @@ def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
     the blocks of all L <= t and M have sum ||B||_F^2 <= 2 G_t, and on a
     certified frame every such element is at most sqrt(2 G_t) <= 1.42e-5.
     """
+    t = check_count("t", t, 1)
     return SubspaceCertificate(frame, t, objective_g_t(frame, t), SUCCESS_THRESHOLD)
 
 
@@ -297,18 +293,19 @@ def _restart(psi, f, g, gn2, ts, gate):
     where its steps no longer descend.  One iteration is one gradient with
     its backtracks or one Jacobian with its trial steps.
 
-    A phase-1 trial is yielded as the step request (psi, g, step), for the
-    frame psi - step * g; a Levenberg-Marquardt trial is yielded as the
-    frame itself, each before retraction.  The reply is (retracted frame, f,
-    g, gn2, products) at the trial.  For a step request, products is
+    Each trial is yielded as the step request (psi, direction, step), for
+    the frame psi - step * direction before retraction: a phase-1 trial
+    steps along g, a Levenberg-Marquardt trial takes step 1.0 against its
+    solution dx, which forms psi + dx bit for bit.  The reply is (retracted
+    frame, f, g, gn2, products) at the trial, where products is
     (sum |dpsi|^2, |sum Re(conj(dpsi) dg)|), with dpsi and dg the changes of
-    frame and gradient from the request's psi and g: the numerator and
-    denominator of the Barzilai-Borwein step that follows if the trial is
-    accepted.  For a bare frame it is None.  After a Levenberg-Marquardt step the next first-order
-    iteration keeps its step.  Returns (psi, f, iterations, reason,
-    evaluations), where reason is "gate", "stall" (g vanished),
-    "stationary" (a positive stationary point), "iteration_cap" or
-    "backtrack_exhausted" (MAX_BACKTRACKS tries failed).
+    frame and gradient from the request's psi and direction: for a phase-1
+    trial, the numerator and denominator of the Barzilai-Borwein step that
+    follows if the trial is accepted.  After a Levenberg-Marquardt step the
+    next first-order iteration keeps its step.  Returns (psi, f,
+    iterations, reason, evaluations), where reason is "gate", "stall" (g
+    vanished), "stationary" (a positive stationary point), "iteration_cap"
+    or "backtrack_exhausted" (MAX_BACKTRACKS tries failed).
     """
     evaluations = 1
     step = INITIAL_STEP / max(1.0, float(np.linalg.norm(g)))
@@ -334,7 +331,7 @@ def _restart(psi, f, g, gn2, ts, gate):
                 except np.linalg.LinAlgError:  # damping * f too small to lift the null space
                     damping *= LM_DAMPING_GROWTH
                     continue
-                cand, fc, gc, gn2c, _ = yield psi + x[0] + 1j * x[1]
+                cand, fc, gc, gn2c, _ = yield psi, -(x[0] + 1j * x[1]), 1.0
                 evaluations += 1
                 if fc < f:
                     damping /= LM_DAMPING_GROWTH
@@ -379,13 +376,13 @@ def _evaluate(psi, wide):
 def _descend(psi, ts, gate):
     """Run one `_restart` per frame of the (R, k, d) stack `psi`, evaluating their trials together.
 
-    In each round every restart that has not stopped yields one trial: a
-    step request (psi, g, step) or a bare frame.  One stacked
-    base - steps * grads forms every requested step, one stacked QR
-    retracts the round's trials and one batched `_evaluate` scores them.
+    In each round every restart that has not stopped yields one step
+    request (psi, direction, step).  One stacked base - steps * directions
+    forms every trial, one stacked QR retracts them and one batched
+    `_evaluate` scores them.
     The stacked kernels sum each frame in the order they sum it alone, so
     each restart's floats are bit for bit those it computes alone.  The
-    Barzilai-Borwein products of a step request are summed over the stack
+    Barzilai-Borwein products of the requests are summed over the stack
     with each frame in the layout a restart holds it, column-major for
     frames (each comes from `_orthonormalize_rows`, the start frames
     included) and row-major for gradients and for their products, and so
@@ -393,18 +390,17 @@ def _descend(psi, ts, gate):
     the restart-local formula.
 
     A reply thus depends only on the bytes of the trial and, for its
-    products, on the request's base psi and g.  Each restart's last trial
-    and reply are kept: a trial whose bytes repeat the last one (a
+    products, on the request's base psi and direction.  Each restart's last
+    trial and reply are kept: a trial whose bytes repeat the last one (a
     backtrack whose step has fallen below the spacing of the floats, so
     that psi - step * g == psi) gets the kept reply again, and only
     distinct trials are retracted and scored.  A kept reply may carry
     products against an earlier base, but it is then never accepted: a
     restart's base moves only when it accepts its last trial, so after a
     move the kept reply is the one to that trial, its f is the restart's
-    current f, and both acceptance tests need a strictly lower one.  A step
-    request whose kept reply answered a bare frame, and so has no
-    products, is scored again.  Returns (psi, f, iterations, reasons,
-    evaluations), one entry per restart.
+    current f, and both acceptance tests need a strictly lower one.
+    Returns (psi, f, iterations, reasons, evaluations), one entry per
+    restart.
     """
     wide = _wide(ts)
     restarts = [_restart(*start, ts, gate) for start in zip(psi, *_evaluate(psi, wide))]
@@ -412,54 +408,33 @@ def _descend(psi, ts, gate):
     # live restart -> (bytes of its last trial, the reply to it); None primes the coroutine
     last = dict.fromkeys(range(len(restarts)), (None, None))
     while last:
-        stepped, bare = {}, {}
+        requests = {}
         for r, (_, reply) in list(last.items()):
             try:
-                request = restarts[r].send(reply)
+                requests[r] = restarts[r].send(reply)
             except StopIteration as stop:
                 results[r] = stop.value
                 del last[r]
-                continue
-            if type(request) is tuple:
-                stepped[r] = request
-            else:
-                bare[r] = request
-        scored, keep = [], []  # (restart, trial bytes) to score; the stepped rows among them
-        if stepped:
-            bases, grads, steps = zip(*stepped.values())
-            base = np.array([p.T for p in bases])  # (n, d, k): the frames transposed
-            grad = np.array(grads)
-            trials = base.swapaxes(1, 2) - np.array(steps)[:, None, None] * grad
-            for i, (r, trial) in enumerate(zip(stepped, trials)):
-                key, reply = last[r]
-                trial_key = trial.tobytes()
-                if trial_key != key or reply[4] is None:
-                    scored.append((r, trial_key))
-                    keep.append(i)
-            if len(keep) < len(trials):
-                trials, base, grad = trials[keep], base[keep], grad[keep]
-        for r, trial in bare.items():
-            trial_key = trial.tobytes()
-            if trial_key != last[r][0]:
-                scored.append((r, trial_key))
-        if not scored:
+        if not requests:
+            break
+        rows = list(requests)
+        bases, grads, steps = zip(*requests.values())
+        base = np.array([p.T for p in bases])  # (n, d, k): the frames transposed
+        grad = np.array(grads)
+        trials = base.swapaxes(1, 2) - np.array(steps)[:, None, None] * grad
+        keys = [trial.tobytes() for trial in trials]
+        keep = [i for i, r in enumerate(rows) if keys[i] != last[r][0]]
+        if not keep:
             continue
-        n = len(keep)  # the stepped trials come first in the stack
-        frames = [bare[r] for r, _ in scored[n:]]
-        if not frames:
-            stack = trials
-        else:
-            stack = np.concatenate([trials, frames]) if n else np.array(frames)
-        q = _orthonormalize_rows(stack)
+        if len(keep) < len(rows):
+            trials, base, grad = trials[keep], base[keep], grad[keep]
+        q = _orthonormalize_rows(trials)
         f, g, gn2 = _evaluate(q, wide)
-        products = [None] * len(scored)
-        if n:
-            dpsi = q[:n].swapaxes(1, 2) - base  # transposed, so each frame is summed column-major
-            num = (np.abs(dpsi) ** 2).sum(axis=(1, 2))
-            den = np.abs((dpsi.swapaxes(1, 2).conj() * (g[:n] - grad)).real.sum(axis=(1, 2)))
-            products[:n] = zip(num.tolist(), den.tolist())
-        for (r, trial_key), reply in zip(scored, zip(q, f, g, gn2, products)):
-            last[r] = trial_key, reply
+        dpsi = q.swapaxes(1, 2) - base  # transposed, so each frame is summed column-major
+        num = (np.abs(dpsi) ** 2).sum(axis=(1, 2))
+        den = np.abs((dpsi.swapaxes(1, 2).conj() * (g - grad)).real.sum(axis=(1, 2)))
+        for i, reply in zip(keep, zip(q, f, g, gn2, zip(num.tolist(), den.tolist()))):
+            last[rows[i]] = keys[i], reply
     frames, f, iterations, reasons, evaluations = map(list, zip(*results))
     # stacked so that each frame keeps the memory layout _orthonormalize_rows gives it
     return np.array([p.T for p in frames]).swapaxes(1, 2), f, iterations, reasons, evaluations
@@ -477,7 +452,8 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
     ties) is certified; not reaching the gate is a valid negative result,
     reported with the best objective found.
     """
-    if not 1 <= k <= spin.dimension:
+    k, t = check_count("k", k, 1), check_count("t", t, 1)
+    if k > spin.dimension:
         raise ValueError(f"k must be in 1..{spin.dimension}")
     ts = multipole_stack(spin.two_j, 1, t)
     d = spin.dimension
@@ -747,8 +723,8 @@ def rotation_equivalent(
     """
     if frame_a.spin != frame_b.spin or frame_a.k != frame_b.k:
         raise ValueError("frames must share spin and dimension")
-    _check_count("seed", seed, 0)
-    _check_count("starts", starts, 1)
+    check_count("seed", seed, 0)
+    check_count("starts", starts, 1)
     pa = frame_a.projector()
     pb = frame_b.projector()
     spin = frame_a.spin

@@ -10,11 +10,13 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rotosense import (
     AxisAngle,
+    Bipartition,
     DensityMatrix,
     MultipoleExpansion,
     MultipoleIndex,
@@ -23,16 +25,24 @@ from rotosense import (
     SpinLabel,
     component_along,
     fidelity_taylor_check,
+    is_anticoherent,
+    objective_g_t,
     perturbed_anticoherent_state,
+    qcrb_floor,
     qfi,
     qfi_quadratic_form,
+    reduced_state,
     rotation_operator,
     rotation_operator_euler,
+    search_subspace,
     upper_bound_kmax,
+    verify_subspace,
 )
 from rotosense.metrology import qfi_from_moments
-from rotosense.multipole import multipole_operator
+from rotosense.multipole import multipole_operator, multipole_stack
 from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
+from rotosense.spin_core import embedding_isometry
+from rotosense.subspaces import spin2_plane
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -188,3 +198,41 @@ def test_search_config(seed, restarts):
         assert not isinstance(config.seed, bool) and not isinstance(config.restarts, bool)
         assert config.seed >= 0 and config.restarts >= 1
         assert np.random.SeedSequence(config.seed).spawn(1)
+
+
+def searched(result):
+    return result.records, result.certificate.order_t, result.certificate.frame.matrix().tobytes()
+
+
+def certified(certificate):
+    return certificate.order_t, certificate.objective_value
+
+
+# entry point -> (call with one integer argument, a valid value of it)
+INTEGER_ARGUMENTS = {
+    "search_subspace t": (lambda n: searched(search_subspace(SpinLabel(4), 2, n, SearchConfig(seed=1, restarts=2))), 1),
+    "search_subspace k": (lambda n: searched(search_subspace(SpinLabel(4), n, 1, SearchConfig(seed=1, restarts=2))), 1),
+    "objective_g_t": (lambda n: objective_g_t(spin2_plane(), n), 1),
+    "verify_subspace": (lambda n: certified(verify_subspace(spin2_plane(), n)), 1),
+    "is_anticoherent": (lambda n: is_anticoherent(spin2_family(0.7), n), 1),
+    "reduced_state": (lambda n: reduced_state(spin2_family(0.7), n).matrix.tobytes(), 1),
+    "Bipartition t": (lambda n: Bipartition(n, 4), 1),
+    "Bipartition n_total": (lambda n: Bipartition(1, n), 4),
+    "qcrb_floor": (lambda n: qcrb_floor(SpinLabel(4), n), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+def test_integer_arguments_are_checked_whatever_the_cache_holds(name):
+    # lru_cache takes 1.0, True and 1 for one key, so the check must come first
+    call, n = INTEGER_ARGUMENTS[name]
+    multipole_stack.cache_clear()
+    embedding_isometry.cache_clear()
+    for bad in (1.5, True, float(n)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    want = repr(call(n))
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(float(n))
+    # repr tells np.int64(2) from 2, so numpy integers are turned into ints
+    assert repr(call(np.int64(n))) == want

@@ -429,7 +429,7 @@ class TestRepeatedTrials:
 
         def restart(psi, f, g, gn2, ts, gate):
             for frame in (trial, trial, trial, fresh):
-                replies.append((yield frame.copy()))  # a new array each time, as psi - step * g is
+                replies.append((yield frame, np.zeros_like(frame), 0.0))
             return psi, f, 0, "gate", 1 + len(replies)
 
         monkeypatch.setattr(subspaces, "_restart", restart)
@@ -518,32 +518,14 @@ class TestStepRequests:
         f, gn2 = first[1], first[3]
         assert not (again[1] < f - subspaces.ARMIJO * 1.0 * gn2 or again[1] < f * (1 - 1e-12))
 
-    def test_step_request_repeating_a_bare_frame_is_scored_again(self, monkeypatch):
-        ts = multipole_stack(8, 1, 2)
-        start = seeded_starts(8, 2, 20240003, 1)
-        seen = []
-
-        def restart(psi, f, g, gn2, ts, gate):
-            bare = yield psi - 1e-6 * g
-            stepped = yield psi, g, 1e-6
-            seen.extend((bare, stepped, local_products(stepped, psi, g)))
-            return psi, f, 2, "gate", 3
-
-        monkeypatch.setattr(subspaces, "_restart", restart)
-        scored = TestRepeatedTrials.recording_scorer(monkeypatch)
-        subspaces._descend(start, ts, 0.0)
-        bare, stepped, products = seen
-        assert bare[4] is None and len(scored) == 3
-        assert stepped[0].tobytes() == bare[0].tobytes() and stepped[1] == bare[1]
-        assert bits(stepped[4]) == bits(products)
-
     @pytest.mark.parametrize("two_j, k, t, seed, restarts", [
         (10, 2, 2, 20240004, 16),  # crawl cell: LM entry, rejections, fallback to phase 1
         (8, 2, 2, 20240003, 16),   # (4,2,2) miss
     ])
     def test_search_replies_carry_the_local_products(self, monkeypatch, two_j, k, t, seed, restarts):
-        # every reply to a step request has the restart-local products, or is a
-        # kept reply to the trial whose acceptance moved the base
+        # every request is a step request, and every reply has the
+        # restart-local products or is a kept reply to the trial whose
+        # acceptance moved the base
         real = subspaces._restart
         fresh, kept = [], []
 
@@ -555,13 +537,13 @@ class TestStepRequests:
                     request = inner.send(reply)
                 except StopIteration as stop:
                     return stop.value
+                assert type(request) is tuple and len(request) == 3
                 reply = yield request
-                if type(request) is tuple:
-                    base, grad, _ = request
-                    if bits(reply[4]) == bits(local_products(reply, base, grad)):
-                        fresh.append(True)
-                    else:
-                        kept.append(reply[0].tobytes() == base.tobytes())
+                base, grad, _ = request
+                if bits(reply[4]) == bits(local_products(reply, base, grad)):
+                    fresh.append(True)
+                else:
+                    kept.append(reply[0].tobytes() == base.tobytes())
 
         monkeypatch.setattr(subspaces, "_restart", checked)
         config = SearchConfig(seed=seed, restarts=restarts)
