@@ -74,7 +74,6 @@ def is_anticoherent(rho: DensityMatrix, t: int) -> AnticoherenceCheck:
 @dataclass(frozen=True)
 class AnticoherenceReport:
     orders: Dict[int, float]
-    tolerance: float
 
     def __post_init__(self):
         bad = {t: v for t, v in self.orders.items() if not -1e-12 <= v <= 1.0 + 1e-12}
@@ -83,9 +82,9 @@ class AnticoherenceReport:
 
     @property
     def certified_order(self) -> int:
-        """The largest t with A_1..A_t all within tolerance of 1."""
+        """The largest t with A_1..A_t all within MEASURE_TOL of 1."""
         certified = 0
-        while self.orders.get(certified + 1, -1.0) >= 1.0 - self.tolerance:
+        while self.orders.get(certified + 1, -1.0) >= 1.0 - MEASURE_TOL:
             certified += 1
         return certified
 
@@ -95,7 +94,7 @@ def anticoherence_report(rho: DensityMatrix) -> AnticoherenceReport:
     n = rho.spin.qubit_count
     if n < 2:
         raise ValueError("anticoherence measures need N = 2j >= 2")
-    return AnticoherenceReport({t: anticoherence_measure(rho, t) for t in range(1, n)}, MEASURE_TOL)
+    return AnticoherenceReport({t: anticoherence_measure(rho, t) for t in range(1, n)})
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +115,8 @@ def perturbed_anticoherent_state(
     state built this way has vanishing <T_LM> on every excluded sector, so
     excluding {1..t} yields a t-AC mixed state.
     """
-    excluded = set(int(L) for L in excluded_sectors)
-    if any(L < 1 or L > spin.two_j for L in excluded):
+    excluded = {check_count("excluded sector", L, 1) for L in excluded_sectors}
+    if any(L > spin.two_j for L in excluded):
         raise ValueError("excluded sectors must satisfy 1 <= L <= 2j")
     expansion = MultipoleExpansion(spin, coefficients)
     for idx in expansion.coefficients:

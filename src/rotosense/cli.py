@@ -20,11 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as rio
+from .anticoherence import ANTICOHERENCE_TOL
 from .metrology import averaged_inverse_qfi_from_form, qfi_quadratic_form
 from .oqr import certify, qcrb_floor, spin2_family, spin2_family_inverse_qfi, spin2_family_purity
 from .spin_core import DensityMatrix, SpinLabel, direction
 from .subspaces import (
     STOP_REASONS,
+    SUCCESS_THRESHOLD,
     SearchConfig,
     catalog,
     construct_one_ac_family,
@@ -109,8 +111,8 @@ def _cmd_certify(args) -> int:
         "averaged_qfi": verdict.averaged_qfi,
         "qcrb": verdict.qcrb,
         "tolerances": {
-            "image_g1": verdict.tolerances.image_g1,
-            "multipole": verdict.tolerances.multipole,
+            "image_g1": SUCCESS_THRESHOLD,
+            "multipole": ANTICOHERENCE_TOL,
         },
         "manifest": manifest.finish().to_dict(),
     })
@@ -148,7 +150,7 @@ def _cmd_search(args) -> int:
         "t": args.t,
         "found": cert.verified,
         "objective": cert.objective_value,
-        "threshold": cert.tolerance,
+        "threshold": SUCCESS_THRESHOLD,
         "restarts": args.restarts,
         "converged_restarts": sum(1 for r in result.records if r.converged),
         "stop_reasons": {reason: sum(1 for r in result.records if r.stop_reason == reason)

@@ -142,10 +142,10 @@ def save_subspace(path: Union[str, Path], frame: SubspaceFrame, t: int,
     payload = {
         "two_j": frame.spin.two_j,
         "k": frame.k,
-        "t": int(t),
+        "t": check_count("t", t, 1),
         "basis": [_vector_pairs(s.amplitudes) for s in frame.basis],
         "objective": float(objective),
-        "seed": seed,
+        "seed": None if seed is None else check_count("seed", seed, 0),
     }
     _write_json(path, payload, manifest)
 
@@ -207,7 +207,6 @@ class RunManifest:
     command: str
     config: Dict = field(default_factory=dict)
     seed: Optional[int] = None
-    tool_version: str = TOOL_VERSION
     wall_time_s: float = 0.0
     input_hashes: Dict[str, str] = field(default_factory=dict)
     _started: float = field(default_factory=time.monotonic, repr=False)
@@ -224,7 +223,7 @@ class RunManifest:
             "command": self.command,
             "config": self.config,
             "seed": self.seed,
-            "tool_version": self.tool_version,
+            "tool_version": TOOL_VERSION,
             "wall_time_s": self.wall_time_s,
             "input_hashes": self.input_hashes,
             "environment": _environment(),

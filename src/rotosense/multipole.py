@@ -27,14 +27,13 @@ low sectors L <= t (the subspace objective and search, `verify_subspace`,
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .spin_core import DensityMatrix, SpinLabel, _readonly, clebsch_gordan_2
+from .spin_core import DensityMatrix, SpinLabel, _readonly, check_count, clebsch_gordan_2
 
 CONJUGATION_TOL = 1e-12
 
@@ -46,17 +45,16 @@ class MultipoleIndex:
 
     def __post_init__(self):
         # numpy integers become ints, so the Racah sums of `_sector` never run in int64
-        if type(self.L) is not int or type(self.M) is not int:
-            try:
-                if isinstance(self.L, bool) or isinstance(self.M, bool):
-                    raise TypeError
-                object.__setattr__(self, "L", operator.index(self.L))
-                object.__setattr__(self, "M", operator.index(self.M))
-            except TypeError:
-                raise ValueError(f"invalid multipole index (L={self.L!r}, M={self.M!r}): "
-                                 "L and M must be integers") from None
-        if self.L < 0 or abs(self.M) > self.L:
-            raise ValueError(f"invalid multipole index (L={self.L}, M={self.M})")
+        try:
+            L = check_count("L", self.L, 0)
+            M = check_count("M", self.M, -L)
+        except ValueError:
+            L = M = None
+        if L is None or M > L:
+            raise ValueError(f"invalid multipole index (L={self.L!r}, M={self.M!r}): "
+                             "L and M must be integers with |M| <= L")
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "M", M)
 
     def validate_for(self, spin: SpinLabel):
         if self.L > spin.two_j:

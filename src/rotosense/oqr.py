@@ -24,12 +24,6 @@ from .subspaces import SUCCESS_THRESHOLD, SubspaceFrame, objective_g_t, spin2_pl
 
 
 @dataclass(frozen=True)
-class CertificationTolerances:
-    image_g1: float = SUCCESS_THRESHOLD
-    multipole: float = ANTICOHERENCE_TOL
-
-
-@dataclass(frozen=True)
 class OqrVerdict:
     image_frame: SubspaceFrame
     image_g1: float
@@ -37,17 +31,16 @@ class OqrVerdict:
     isotropy_gap: float
     averaged_qfi: float
     qcrb: float
-    tolerances: CertificationTolerances
 
     @property
     def is_oqr_fidelity(self) -> bool:
-        """The image is a 1-AC subspace: G_1 at the gate."""
-        return self.image_g1 <= self.tolerances.image_g1
+        """The image is a 1-AC subspace: G_1 at the gate SUCCESS_THRESHOLD."""
+        return self.image_g1 <= SUCCESS_THRESHOLD
 
     @property
     def is_oqr_qcrb(self) -> bool:
-        """Fidelity-grade, and the state is 2-AC: its L = 1, 2 multipoles vanish."""
-        return self.is_oqr_fidelity and self.anticoherence_order2_violation <= self.tolerances.multipole
+        """Fidelity-grade, and the state is 2-AC: its L = 1, 2 multipoles vanish within ANTICOHERENCE_TOL."""
+        return self.is_oqr_fidelity and self.anticoherence_order2_violation <= ANTICOHERENCE_TOL
 
     def __post_init__(self):
         if self.is_oqr_qcrb:
@@ -68,10 +61,10 @@ def certify(rho: DensityMatrix) -> OqrVerdict:
     L = 1, 2 multipole expectations.  Axis independence needs no gate of its
     own: a 2-AC state has K_nn <= 4 <J_n^2> = 4 j(j+1)/3 on every axis, so at
     the maximal averaged QFI Tr K / 3 = 4 j(j+1)/3 that the verdict requires,
-    K is isotropic; its isotropy gap is reported.  The fixed gates of
-    CertificationTolerances are recorded in the verdict.
+    K is isotropic; its isotropy gap is reported.  The verdict records the
+    numbers; both grades read the module gates SUCCESS_THRESHOLD and
+    ANTICOHERENCE_TOL.
     """
-    tol = CertificationTolerances()
     mixture = eigen_mixture(rho)
     frame = SubspaceFrame(rho.spin, mixture.states)
     g1 = objective_g_t(frame, 1) if rho.spin.two_j >= 1 else math.inf
@@ -84,7 +77,6 @@ def certify(rho: DensityMatrix) -> OqrVerdict:
         isotropy_gap=form.isotropy_gap,
         averaged_qfi=form.averaged,
         qcrb=averaged_inverse_qfi_from_form(form),
-        tolerances=tol,
     )
 
 

@@ -91,10 +91,7 @@ class SpinLabel:
     two_j: int
 
     def __post_init__(self):
-        if (not isinstance(self.two_j, (int, np.integer)) or isinstance(self.two_j, bool)
-                or self.two_j < 0):
-            raise ValueError(f"two_j must be a non-negative integer, got {self.two_j!r}")
-        object.__setattr__(self, "two_j", int(self.two_j))
+        object.__setattr__(self, "two_j", check_count("two_j", self.two_j, 0))
 
     @classmethod
     def from_j(cls, j) -> "SpinLabel":

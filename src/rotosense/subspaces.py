@@ -105,11 +105,11 @@ class SubspaceCertificate:
     frame: SubspaceFrame
     order_t: int
     objective_value: float
-    tolerance: float
 
     @property
     def verified(self) -> bool:
-        return self.objective_value <= self.tolerance
+        """G_t at the gate SUCCESS_THRESHOLD."""
+        return self.objective_value <= SUCCESS_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
     certified frame every such element is at most sqrt(2 G_t) <= 1.42e-5.
     """
     t = check_count("t", t, 1)
-    return SubspaceCertificate(frame, t, objective_g_t(frame, t), SUCCESS_THRESHOLD)
+    return SubspaceCertificate(frame, t, objective_g_t(frame, t))
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +478,10 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
 
 def upper_bound_kmax(spin: SpinLabel, t: int) -> int:
     """floor((2j - t + 1)/(t + 1)), from counting orthonormal Schmidt vectors."""
-    if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or not 1 <= t <= spin.two_j:
+    t = check_count("t", t, 1)
+    if t > spin.two_j:
         raise ValueError(f"t must be an integer in 1..2j = {spin.two_j}, got {t!r}")
-    return (spin.two_j - int(t) + 1) // (int(t) + 1)
+    return (spin.two_j - t + 1) // (t + 1)
 
 
 @dataclass(frozen=True)

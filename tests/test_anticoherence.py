@@ -5,7 +5,9 @@ import pytest
 
 from rotosense.anticoherence import (
     ANTICOHERENCE_TOL,
+    MEASURE_TOL,
     AnticoherenceCheck,
+    AnticoherenceReport,
     anticoherence_measure,
     anticoherence_report,
     is_anticoherent,
@@ -89,6 +91,11 @@ class TestMeasure:
         assert rep.certified_order == 1
         assert rep.orders[1] == pytest.approx(1.0, abs=1e-12)
         assert rep.orders[2] < 1.0 - 1e-3
+        # at the module gate MEASURE_TOL; the report stores no gate of its own
+        assert AnticoherenceReport({1: 1.0 - MEASURE_TOL, 2: 0.5}).certified_order == 1
+        assert AnticoherenceReport({1: 1.0 - 2 * MEASURE_TOL}).certified_order == 0
+        with pytest.raises(TypeError):
+            AnticoherenceReport({1: 0.5}, 0.6)
 
 
 class TestPredicate:
@@ -160,6 +167,19 @@ class TestPerturbedStates:
             perturbed_anticoherent_state(
                 SpinLabel(3), {1, 2}, {MultipoleIndex(3, 1): 1.0 + 0j}, epsilon=0.01
             )
+
+    @pytest.mark.parametrize("sector", [1.9, True, 1.0, "1"])
+    def test_excluded_sectors_must_be_integers(self, sector):
+        # 1.9 once excluded sector 1 and True was taken as sector 1
+        with pytest.raises(ValueError, match="excluded sector must be an integer"):
+            perturbed_anticoherent_state(SpinLabel(4), [sector], {(2, 0): 0.1}, epsilon=0.01)
+
+    def test_numpy_integer_excluded_sector(self):
+        want = perturbed_anticoherent_state(SpinLabel(4), [2], {(1, 0): 0.1}, epsilon=0.01)
+        got = perturbed_anticoherent_state(SpinLabel(4), [np.int64(2)], {(1, 0): 0.1}, epsilon=0.01)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        with pytest.raises(ValueError, match="excluded"):
+            perturbed_anticoherent_state(SpinLabel(4), [np.int64(2)], {(2, 0): 0.1}, epsilon=0.01)
 
     def test_excluded_sector_collision(self):
         with pytest.raises(ValueError, match="excluded"):

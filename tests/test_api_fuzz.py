@@ -169,6 +169,9 @@ def test_numpy_integer_indices(spin, L, M, kind):
         assert matrix is None or matrix.tobytes() == multipole_operator(spin, MultipoleIndex(L, M)).tobytes()
     bound = outcome(upper_bound_kmax, spin, kind(L))
     assert bound is None or (type(bound) is int and bound == upper_bound_kmax(spin, L))
+    label = outcome(SpinLabel, kind(L))
+    assert (label is None) == (L < 0)
+    assert label is None or (type(label.two_j) is int and label == SpinLabel(L))
 
 
 @FUZZ

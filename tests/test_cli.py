@@ -10,6 +10,7 @@ import pytest
 
 from rotosense import cli
 from rotosense import io as rio
+from rotosense.anticoherence import ANTICOHERENCE_TOL
 from rotosense.cli import main
 from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
 from rotosense.spin_core import DensityMatrix, PureState, SpinLabel
@@ -164,6 +165,22 @@ class TestSubspaceIo:
         p.write_text(json.dumps(plane_payload))
         assert rio.load_subspace(p).seed is None
 
+    @pytest.mark.parametrize("t, seed", [(1.9, 3), (True, 3), (1, True), (1, 1.5)])
+    def test_save_rejects_what_load_rejects(self, tmp_path, t, seed):
+        # t = 1.9 was written as 1, and seed = True as a file that does not load
+        from rotosense.subspaces import spin2_plane
+
+        with pytest.raises(ValueError, match="must be an integer"):
+            rio.save_subspace(tmp_path / "bad.json", spin2_plane(), t, 0.0, seed)
+        assert not (tmp_path / "bad.json").exists()
+
+    def test_save_writes_numpy_counts_as_ints(self, tmp_path, plane_payload):
+        from rotosense.subspaces import spin2_plane
+
+        p = tmp_path / "np.json"
+        rio.save_subspace(p, spin2_plane(), np.int64(1), 0.0, np.int64(3))
+        assert json.loads(p.read_text()) == plane_payload
+
     def test_top_level_list_rejected(self, tmp_path, plane_payload):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps([plane_payload]))
@@ -182,6 +199,11 @@ class TestQfiCommand:
         assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads"}
         assert env["numpy"] == np.__version__
         assert set(env["blas_threads"]) <= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+    def test_manifest_stores_no_tool_version(self):
+        assert rio.RunManifest(command="x").to_dict()["tool_version"] == rio.TOOL_VERSION
+        with pytest.raises(TypeError):
+            rio.RunManifest(command="x", tool_version="y")
 
     def test_axis_qfi_of_coherent_state_along_z(self, state_files, capsys):
         code, out, _ = run(capsys, "qfi", str(state_files["coherent"]), "--axis", "0,0,1")
@@ -215,6 +237,7 @@ class TestCertifyCommand:
         data = json.loads(out)
         assert data["is_oqr_qcrb"] is True
         assert set(data["tolerances"]) == {"image_g1", "multipole"}
+        assert data["tolerances"] == {"image_g1": SUCCESS_THRESHOLD, "multipole": ANTICOHERENCE_TOL}
 
     def test_ghz_exit_two(self, state_files, capsys):
         code, out, _ = run(capsys, "certify", str(state_files["ghz"]))

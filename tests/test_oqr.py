@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rotosense.anticoherence import anticoherence_measure, is_anticoherent
+from rotosense import oqr
+from rotosense.anticoherence import ANTICOHERENCE_TOL, anticoherence_measure, is_anticoherent
 from rotosense.metrology import averaged_inverse_qfi, averaged_qfi
 from rotosense.oqr import (
     certify,
@@ -18,7 +19,7 @@ from rotosense.oqr import (
     spin3_oqr_family,
 )
 from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, eigen_mixture
-from rotosense.subspaces import construct_two_ac_family, spin3_one_ac_triple
+from rotosense.subspaces import SUCCESS_THRESHOLD, construct_two_ac_family, spin3_one_ac_triple
 from conftest import random_density
 
 
@@ -91,6 +92,14 @@ class TestCertify:
         assert not not_one_ac.is_oqr_fidelity and not not_one_ac.is_oqr_qcrb
         not_two_ac = dataclasses.replace(v, anticoherence_order2_violation=1.0)
         assert not_two_ac.is_oqr_fidelity and not not_two_ac.is_oqr_qcrb
+        # at the module gates, not above them; the verdict stores no gate of its own
+        above = lambda gate: math.nextafter(gate, 1.0)
+        assert dataclasses.replace(v, image_g1=SUCCESS_THRESHOLD).is_oqr_fidelity
+        assert not dataclasses.replace(v, image_g1=above(SUCCESS_THRESHOLD)).is_oqr_fidelity
+        assert dataclasses.replace(v, anticoherence_order2_violation=ANTICOHERENCE_TOL).is_oqr_qcrb
+        assert not dataclasses.replace(v, anticoherence_order2_violation=above(ANTICOHERENCE_TOL)).is_oqr_qcrb
+        assert "tolerances" not in {f.name for f in dataclasses.fields(v)}
+        assert not hasattr(oqr, "CertificationTolerances")
 
     def test_qcrb_grade_requires_the_maximal_averaged_qfi(self):
         v = certify(spin2_family(0.7))

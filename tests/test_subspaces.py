@@ -179,8 +179,10 @@ class TestVerify:
 
     def test_verified_is_read_off_the_objective(self):
         frame = spin2_plane()
-        assert SubspaceCertificate(frame, 1, SUCCESS_THRESHOLD, SUCCESS_THRESHOLD).verified
-        assert not SubspaceCertificate(frame, 1, 2e-10, SUCCESS_THRESHOLD).verified
+        assert SubspaceCertificate(frame, 1, SUCCESS_THRESHOLD).verified
+        assert not SubspaceCertificate(frame, 1, 2e-10).verified
+        with pytest.raises(TypeError):  # the gate is SUCCESS_THRESHOLD, not a field
+            SubspaceCertificate(frame, 1, 0.5, 1.0)
 
     @pytest.mark.parametrize("name", list(catalog()))
     def test_gate_bounds_every_pair_in_the_span(self, name, rng):
@@ -238,7 +240,6 @@ class TestSearch:
             assert r.converged == (r.stop_reason == "gate")
             assert r.stop_reason in STOP_REASONS
             assert r.evaluations > r.iterations
-        assert short.certificate.tolerance == long.certificate.tolerance == SUCCESS_THRESHOLD
 
     def test_input_gates(self):
         with pytest.raises(ValueError):
