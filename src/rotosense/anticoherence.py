@@ -111,7 +111,8 @@ def perturbed_anticoherent_state(
 
     The perturbation must be Hermitian (conj(A_LM) = (-1)^M A_L,-M).  With
     epsilon="max" the largest admissible step eps = 1/((2j+1) |lam_min(A)|)
-    is used, which drives the smallest eigenvalue of the state to zero.  A
+    is used, which drives the smallest eigenvalue of the state to zero; a
+    zero perturbation gives rho_0 at any admissible epsilon.  A
     state built this way has vanishing <T_LM> on every excluded sector, so
     excluding {1..t} yields a t-AC mixed state.
     """
@@ -124,15 +125,15 @@ def perturbed_anticoherent_state(
             raise ValueError(f"coefficient at L={idx.L} lies in an excluded or invalid sector")
     d = spin.dimension
     a = expansion.operator()
-    if np.abs(a).max() == 0.0:
-        return DensityMatrix.maximally_mixed(spin)
-    lam_min = float(np.linalg.eigvalsh(a)[0])
-    if epsilon == "max":
+    if epsilon != "max":
+        eps = float(epsilon)
+    elif np.abs(a).max() == 0.0:
+        eps = 0.0  # no perturbation: rho_0 itself
+    else:
+        lam_min = float(np.linalg.eigvalsh(a)[0])
         if lam_min >= 0:
             raise ValueError("perturbation has no negative eigenvalue; epsilon='max' undefined")
         eps = 1.0 / (d * abs(lam_min))
-    else:
-        eps = float(epsilon)
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"epsilon must be finite and non-negative, got {eps}")
     with np.errstate(over="ignore"):  # DensityMatrix rejects an overflowed state

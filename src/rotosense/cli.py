@@ -91,7 +91,7 @@ def _cmd_qfi(args) -> int:
         report["qfi"] = form.evaluate(args.axis)
     if args.averaged_inverse:
         report["averaged_inverse_qfi"] = averaged_inverse_qfi_from_form(form)
-    report["manifest"] = manifest.finish().to_dict()
+    report["manifest"] = manifest.to_dict()
     _emit(report)
     return EXIT_OK
 
@@ -114,7 +114,7 @@ def _cmd_certify(args) -> int:
             "image_g1": SUCCESS_THRESHOLD,
             "multipole": ANTICOHERENCE_TOL,
         },
-        "manifest": manifest.finish().to_dict(),
+        "manifest": manifest.to_dict(),
     })
     if verdict.is_oqr_qcrb:
         return EXIT_OK
@@ -156,7 +156,7 @@ def _cmd_search(args) -> int:
         "stop_reasons": {reason: sum(1 for r in result.records if r.stop_reason == reason)
                          for reason in STOP_REASONS},
         "best_miss_objective": min((r.objective for r in result.records if not r.converged), default=None),
-        "manifest": manifest.finish().to_dict(),
+        "manifest": manifest.to_dict(),
     })
     return EXIT_OK if cert.verified else EXIT_NOT_FOUND
 
@@ -168,8 +168,10 @@ def _catalog_row(entry) -> dict:
 
 
 def _cmd_catalog(args) -> int:
+    if args.out and not args.get:
+        _parser().error("catalog --out needs --get")
     entries = catalog()
-    if args.list or not args.get:
+    if not args.get:
         _emit({"entries": [_catalog_row(entry) for _, entry in sorted(entries.items())]})
         return EXIT_OK
     entry = entries.get(args.get)
@@ -180,7 +182,7 @@ def _cmd_catalog(args) -> int:
     manifest = rio.RunManifest(command="catalog", config={"get": args.get})
     if args.out:
         rio.save_subspace(args.out, entry.frame, entry.order_t, row["residual"], None, manifest)
-    _emit({**row, "manifest": manifest.finish().to_dict()})
+    _emit({**row, "manifest": manifest.to_dict()})
     return EXIT_OK
 
 
@@ -205,14 +207,10 @@ def _reproduce_kmax(outdir: Path, manifest: rio.RunManifest, seed: int, restarts
         for t in (1, 2):
             if t > two_j - 1:
                 continue
-            bound = upper_bound_kmax(spin, t)
-            if bound < 1:
-                rows.append([str(spin), t, 0, bound])
-                continue
             start = time.perf_counter()
             scan = kmax_scan(spin, t, SearchConfig(seed=seed, restarts=restarts))
-            rows.append([str(spin), t, scan.k_max, bound])
-            print(f"kmax: j={spin} t={t} k_max={scan.k_max} bound={bound} "
+            rows.append([str(spin), t, scan.k_max, scan.bound])
+            print(f"kmax: j={spin} t={t} k_max={scan.k_max} bound={scan.bound} "
                   f"({time.perf_counter() - start:.2f} s)", file=sys.stderr)
     path = outdir / "kmax.csv"
     rio.write_csv(path, ["j", "t", "k_found", "bound"], rows)
@@ -324,9 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("catalog", help="list or export the reference subspace catalog")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--get", default=None)
-    p.add_argument("--out", default=None)
+    listing = p.add_mutually_exclusive_group()
+    listing.add_argument("--list", action="store_true")
+    listing.add_argument("--get", default=None)
+    p.add_argument("--out", default=None, help="write the --get entry to this subspace file")
     p.set_defaults(func=_cmd_catalog)
 
     return parser

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,6 +137,14 @@ def load_state(path: Union[str, Path]) -> DensityMatrix:
 # Subspace files
 # ---------------------------------------------------------------------------
 
+def _check_objective(objective) -> float:
+    """`objective` as a float, checked to be a finite number >= 0 (G_t is a finite sum of squares), not a bool."""
+    if (isinstance(objective, bool) or not isinstance(objective, (int, float, np.integer, np.floating))
+            or not 0 <= objective <= sys.float_info.max):
+        raise ValueError(f"objective must be a number, finite and >= 0, got {objective!r}")
+    return float(objective)
+
+
 def save_subspace(path: Union[str, Path], frame: SubspaceFrame, t: int,
                   objective: float, seed: Optional[int],
                   manifest: Optional["RunManifest"] = None) -> None:
@@ -144,7 +153,7 @@ def save_subspace(path: Union[str, Path], frame: SubspaceFrame, t: int,
         "k": frame.k,
         "t": check_count("t", t, 1),
         "basis": [_vector_pairs(s.amplitudes) for s in frame.basis],
-        "objective": float(objective),
+        "objective": _check_objective(objective),
         "seed": None if seed is None else check_count("seed", seed, 0),
     }
     _write_json(path, payload, manifest)
@@ -160,7 +169,7 @@ class SubspaceFileContent:
 
 def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
     """Read a subspace file; `k` and `t` must be integers >= 1, `objective` a
-    number and `seed` null or an integer >= 0 (a file without `seed` reads as null)."""
+    finite number >= 0 and `seed` null or an integer >= 0 (a file without `seed` reads as null)."""
     data = _read_json(path)
     spin = SpinLabel(_field(data, "two_j"))
     k, t, objective = (_field(data, name) for name in ("k", "t", "objective"))
@@ -170,12 +179,11 @@ def load_subspace(path: Union[str, Path]) -> SubspaceFileContent:
     frame = SubspaceFrame(spin, basis)
     if frame.k != k:
         raise ValueError(f"declared k={k} but file holds {frame.k} states")
-    if not isinstance(objective, (int, float)) or isinstance(objective, bool):
-        raise ValueError(f"objective must be a number, got {objective!r}")
+    objective = _check_objective(objective)
     seed = data.get("seed")
     if seed is not None:
         check_count("seed", seed, 0)
-    return SubspaceFileContent(frame, t, float(objective), seed)
+    return SubspaceFileContent(frame, t, objective, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +212,16 @@ def _sha256(path: Union[str, Path]) -> str:
 
 @dataclass
 class RunManifest:
+    """What a run was asked to do; `to_dict` adds the seconds since the manifest was made."""
+
     command: str
     config: Dict = field(default_factory=dict)
     seed: Optional[int] = None
-    wall_time_s: float = 0.0
-    input_hashes: Dict[str, str] = field(default_factory=dict)
-    _started: float = field(default_factory=time.monotonic, repr=False)
+    input_hashes: Dict[str, str] = field(default_factory=dict, init=False)
+    _started: float = field(default_factory=time.monotonic, init=False, repr=False)
 
     def add_input(self, path: Union[str, Path]) -> None:
         self.input_hashes[str(path)] = _sha256(path)
-
-    def finish(self) -> "RunManifest":
-        self.wall_time_s = time.monotonic() - self._started
-        return self
 
     def to_dict(self) -> Dict:
         return {
@@ -224,12 +229,12 @@ class RunManifest:
             "config": self.config,
             "seed": self.seed,
             "tool_version": TOOL_VERSION,
-            "wall_time_s": self.wall_time_s,
+            "wall_time_s": time.monotonic() - self._started,
             "input_hashes": self.input_hashes,
             "environment": _environment(),
         }
 
     def write_sidecar(self, artifact_path: Union[str, Path]) -> Path:
         side = Path(str(artifact_path) + ".manifest.json")
-        _write_json(side, self.finish().to_dict(), None)
+        _write_json(side, self.to_dict(), None)
         return side

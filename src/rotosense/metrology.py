@@ -80,12 +80,8 @@ def _qfi_pair_weights(lam: np.ndarray) -> np.ndarray:
 
 
 def qfi(rho: DensityMatrix, axis) -> float:
-    """QFI for a rotation about `axis`, from the spectral pair sum."""
-    lam, vec = np.linalg.eigh(rho.matrix)
-    jn = component_along(rho.spin, axis)
-    m = vec.conj().T @ jn @ vec
-    p = _qfi_pair_weights(lam)
-    return float(2.0 * np.sum(p * np.abs(m) ** 2))
+    """QFI for a rotation about `axis`: n^T K n of `qfi_quadratic_form`, the value `rotosense qfi --axis` prints."""
+    return qfi_quadratic_form(rho).evaluate(axis)
 
 
 def qfi_from_moments(rho: DensityMatrix, axis) -> float:

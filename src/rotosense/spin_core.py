@@ -74,6 +74,17 @@ def check_count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _as_two(x, name: str) -> int:
+    """2x as an int, for x an exact integer or half-integer: an int, a float, a Fraction or a string like '7/2', not a bool."""
+    try:
+        two = Fraction(x) * 2
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        two = None
+    if isinstance(x, bool) or two is None or two.denominator != 1:
+        raise ValueError(f"{name} must be an integer or half-integer, got {x!r}")
+    return int(two)
+
+
 def check_orthonormal(spin: SpinLabel, states, what: str) -> None:
     """Raise unless `states` are spin-j states whose amplitude vectors are orthonormal within ORTHONORMALITY_TOL."""
     if any(s.spin != spin for s in states):
@@ -96,12 +107,7 @@ class SpinLabel:
     @classmethod
     def from_j(cls, j) -> "SpinLabel":
         """Build from j given as int, float, Fraction or a string like '7/2'."""
-        if isinstance(j, str):
-            j = Fraction(j)
-        two_j = Fraction(j) * 2
-        if two_j.denominator != 1:
-            raise ValueError(f"j must be integer or half-integer, got {j!r}")
-        return cls(int(two_j))
+        return cls(_as_two(j, "j"))
 
     @property
     def j(self) -> float:
@@ -407,20 +413,12 @@ def clebsch_gordan_2(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -
     return magnitude if total > 0 else -magnitude
 
 
-def _as_two(x, name: str) -> int:
-    tx = Fraction(x).limit_denominator(4) * 2
-    if tx.denominator != 1 or abs(float(tx) - 2 * float(x)) > 1e-9:
-        raise ValueError(f"{name}={x!r} is not an integer or half-integer")
-    return int(tx)
-
-
 def clebsch_gordan(j1, j2, j, m1, m2, m) -> float:
-    """<j1 m1; j2 m2 | j m> for half-integer arguments."""
-    return clebsch_gordan_2(
-        _as_two(j1, "j1"), _as_two(m1, "m1"),
-        _as_two(j2, "j2"), _as_two(m2, "m2"),
-        _as_two(j, "j"), _as_two(m, "m"),
-    )
+    """<j1 m1; j2 m2 | j m> for integer or half-integer arguments, with j1, j2, j >= 0."""
+    tj1, tj2, tj = _as_two(j1, "j1"), _as_two(j2, "j2"), _as_two(j, "j")
+    if min(tj1, tj2, tj) < 0:
+        raise ValueError(f"j1, j2 and j must be >= 0, got {j1!r}, {j2!r}, {j!r}")
+    return clebsch_gordan_2(tj1, _as_two(m1, "m1"), tj2, _as_two(m2, "m2"), tj, _as_two(m, "m"))
 
 
 @lru_cache(maxsize=None)

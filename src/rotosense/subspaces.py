@@ -520,10 +520,10 @@ def kmax_scan(spin: SpinLabel, t: int, config: SearchConfig) -> KmaxScan:
 
     Scans every k up to the dimension bound even past a failure (optimizer
     misses at smaller k are reported as anomalies rather than silently
-    truncating the scan).
+    truncating the scan); at bound 0 it runs no search.
     """
     entries = []
-    for k in range(1, max(upper_bound_kmax(spin, t), 1) + 1):
+    for k in range(1, upper_bound_kmax(spin, t) + 1):
         result = search_subspace(spin, k, t, replace(config, seed=config.seed + k))
         entries.append(KmaxScanEntry(k, result.certificate.objective_value))
     return KmaxScan(spin, t, tuple(entries))
@@ -720,7 +720,7 @@ def rotation_equivalent(
     "Not equivalent" means that no start reached the gate, not that no
     rotation exists: the residual has many local minima at larger spin, and
     at the default 24 starts 6 of 10 randomly rotated copies of the (7,3,2)
-    catalog frame are missed, as they were by MINPACK's Levenberg-Marquardt.
+    catalog frame are missed.
     """
     if frame_a.spin != frame_b.spin or frame_a.k != frame_b.k:
         raise ValueError("frames must share spin and dimension")

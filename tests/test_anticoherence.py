@@ -253,6 +253,17 @@ class TestPerturbationContract:
         with pytest.raises(ValueError, match="epsilon"):
             perturbed_anticoherent_state(SpinLabel(4), {1}, {(2, 0): 1.0}, epsilon=epsilon)
 
+    @pytest.mark.parametrize("coefficients", [{}, {(2, 0): 1.0}])
+    @pytest.mark.parametrize("epsilon", [-5.0, math.nan, math.inf, "garbage", None])
+    def test_epsilon_checked_with_or_without_a_perturbation(self, coefficients, epsilon):
+        with pytest.raises((ValueError, TypeError)):
+            perturbed_anticoherent_state(SpinLabel(4), {1}, coefficients, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", ["max", 0.0, 0.3])
+    def test_zero_perturbation_gives_the_maximally_mixed_state(self, epsilon):
+        rho = perturbed_anticoherent_state(SpinLabel(4), {1}, {}, epsilon=epsilon)
+        assert rho.matrix.tobytes() == DensityMatrix.maximally_mixed(SpinLabel(4)).matrix.tobytes()
+
     def test_tiny_perturbation_at_max_step_rejected(self):
         # the maximal step 1/((2j+1) |lam_min|) overflows to inf
         with pytest.raises(ValueError, match="epsilon"):

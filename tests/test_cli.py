@@ -174,6 +174,19 @@ class TestSubspaceIo:
             rio.save_subspace(tmp_path / "bad.json", spin2_plane(), t, 0.0, seed)
         assert not (tmp_path / "bad.json").exists()
 
+    @pytest.mark.parametrize("objective", [math.nan, -1.0, math.inf])
+    def test_objective_must_be_finite_and_non_negative(self, tmp_path, plane_payload, objective):
+        # G_t is a finite sum of squares; save rejects what load rejects
+        from rotosense.subspaces import spin2_plane
+
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**plane_payload, "objective": objective}))
+        with pytest.raises(ValueError, match="objective must be a number, finite and >= 0"):
+            rio.load_subspace(p)
+        with pytest.raises(ValueError, match="objective must be a number, finite and >= 0"):
+            rio.save_subspace(tmp_path / "saved.json", spin2_plane(), 1, objective, None)
+        assert not (tmp_path / "saved.json").exists()
+
     def test_save_writes_numpy_counts_as_ints(self, tmp_path, plane_payload):
         from rotosense.subspaces import spin2_plane
 
@@ -204,6 +217,13 @@ class TestQfiCommand:
         assert rio.RunManifest(command="x").to_dict()["tool_version"] == rio.TOOL_VERSION
         with pytest.raises(TypeError):
             rio.RunManifest(command="x", tool_version="y")
+
+    @pytest.mark.parametrize("name", ["wall_time_s", "input_hashes", "_started"])
+    def test_manifest_takes_only_what_the_run_was_asked(self, name):
+        # the run time is read off the clock when the manifest is written
+        with pytest.raises(TypeError):
+            rio.RunManifest(command="x", **{name: 1.0})
+        assert not hasattr(rio.RunManifest, "finish")
 
     def test_axis_qfi_of_coherent_state_along_z(self, state_files, capsys):
         code, out, _ = run(capsys, "qfi", str(state_files["coherent"]), "--axis", "0,0,1")
@@ -325,6 +345,8 @@ class TestSearchCommand:
         cert = verify_subspace(content.frame, content.t)
         assert cert.verified
         assert abs(cert.objective_value - content.objective) < 1e-12
+        # the file's manifest is written after the search, so it records the search's run time
+        assert json.loads(out_file.read_text())["manifest"]["wall_time_s"] > 0
 
     def test_within_bound_but_absent_exit_four(self, capsys):
         code, out, _ = run(capsys, "search", "--j", "4", "--k", "2", "--t", "2",
@@ -362,6 +384,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["certify"],
         ["search", "--j", "0.3", "--k", "1", "--t", "1", "--seed", "1"],
+        ["search", "--j", "1/0", "--k", "1", "--t", "1", "--seed", "1"],
     ])
     def test_usage_error_exit_one(self, capsys, argv):
         # exit 2 is the fidelity-grade verdict of certify, so a usage error may not use it
@@ -418,6 +441,23 @@ class TestCatalogCommand:
         assert code == 1
         assert "unknown" in err
 
+    def test_out_without_get_is_a_usage_error(self, tmp_path, capsys):
+        out_file = tmp_path / "c.json"
+        for argv in (["--out", str(out_file)], ["--list", "--out", str(out_file)]):
+            code, out, err = run(capsys, "catalog", *argv)
+            assert code == 1
+            assert out == ""
+            assert "error: catalog --out needs --get" in err
+        assert not out_file.exists()
+
+    def test_list_and_get_are_exclusive(self, tmp_path, capsys):
+        out_file = tmp_path / "c.json"
+        code, out, err = run(capsys, "catalog", "--list", "--get", "(2,2,1)", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert "not allowed with argument --list" in err
+        assert not out_file.exists()
+
 
 class TestReproduceCommand:
     def test_fig1_csv(self, tmp_path, capsys):
@@ -465,10 +505,11 @@ class TestReproduceCommand:
         code, _, err = run(capsys, "reproduce", "--target", "kmax", "--out", str(tmp_path),
                            "--max-j", "2", "--restarts", "8", "--seed", "5")
         assert code == 0
-        # one progress line per (j, t) scan; (3/2, t=2) has bound 0 and no scan
+        # one progress line per (j, t) scan; (3/2, t=2) has bound 0, so its scan runs no search
         progress = err.strip().split("\n")
         assert [line.split(" k_max=")[0] for line in progress] == [
-            "kmax: j=1 t=1", "kmax: j=3/2 t=1", "kmax: j=2 t=1", "kmax: j=2 t=2"]
+            "kmax: j=1 t=1", "kmax: j=3/2 t=1", "kmax: j=3/2 t=2", "kmax: j=2 t=1", "kmax: j=2 t=2"]
+        assert "kmax: j=3/2 t=2 k_max=0 bound=0 (" in err
         assert "kmax: j=2 t=1 k_max=2 bound=2 (" in err
         lines = (tmp_path / "kmax.csv").read_text().strip().split("\n")
         assert lines[0] == "j,t,k_found,bound"
@@ -498,6 +539,15 @@ class TestAxisOption:
         assert out == ""
         assert "--axis" in err
         assert "Traceback" not in err
+
+    def test_axis_qfi_is_the_library_qfi(self, state_files, capsys):
+        from rotosense import qfi
+        from rotosense.spin_core import direction
+
+        code, out, _ = run(capsys, "qfi", str(state_files["spin3"]), "--axis=0.3,0.4,1.2")
+        assert code == 0
+        rho = rio.load_state(state_files["spin3"])
+        assert json.loads(out)["qfi"] == qfi(rho, direction([0.3, 0.4, 1.2]))
 
     def test_axis_is_normalized(self, state_files, capsys):
         code, out, _ = run(capsys, "qfi", str(state_files["xi07"]), "--axis=3,-4,12")

@@ -19,20 +19,34 @@ from rotosense.metrology import (
     qfi_quadratic_form,
     uhlmann_fidelity,
 )
-from rotosense.oqr import spin2_family, spin32_ghz
+from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
 from rotosense.spin_core import (
+    DEFAULT_RANK_TOL,
     AxisAngle,
     DensityMatrix,
     PureState,
     SpinLabel,
     angular_momentum_operators,
     component_along,
+    direction,
     rotation_operator,
 )
 from conftest import random_axis, random_density, random_pure
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
+
+
+def pair_sum_qfi(rho, axis):
+    """I(n, rho) = 2 sum_lm (lam_l - lam_m)^2/(lam_l + lam_m) |<l|J.n|m>|^2, pairs below the rank gate
+    dropped: the definition, summed over eigenvector pairs without the form K."""
+    lam, vec = np.linalg.eigh(rho.matrix)
+    m = vec.conj().T @ component_along(rho.spin, axis) @ vec
+    s = lam[:, None] + lam[None, :]
+    keep = s >= DEFAULT_RANK_TOL
+    p = np.zeros_like(s)
+    p[keep] = (lam[:, None] - lam[None, :])[keep] ** 2 / s[keep]
+    return float(2.0 * np.sum(p * np.abs(m) ** 2))
 
 
 def spin32_two_ac_mixture():
@@ -162,7 +176,16 @@ class TestQuadraticForm:
                      np.array([0, 1, 1]) / math.sqrt(2),
                      np.array([1, 0, 1]) / math.sqrt(2)]
         for ax in canonical + [random_axis(rng) for _ in range(20)]:
-            assert form.evaluate(ax) == pytest.approx(qfi(rho, ax), abs=1e-9)
+            assert form.evaluate(ax) == pytest.approx(pair_sum_qfi(rho, ax), abs=1e-9)
+
+    def test_qfi_is_the_form_bit_for_bit(self, rng):
+        # `rotosense qfi --axis` prints form.evaluate; the library's qfi returns the same float
+        cases = [(spin3_oqr_family(0.2), direction([0.3, 0.4, 1.2]))]
+        cases += [(random_density(SpinLabel(two_j), rng, rank=3), random_axis(rng)) for two_j in (2, 5, 9, 14)]
+        for rho, ax in cases:
+            assert qfi(rho, ax) == qfi_quadratic_form(rho).evaluate(ax)
+        rho, ax = cases[0]
+        assert qfi(rho, ax) == pytest.approx(16.0, abs=1e-13)
 
     def test_spin2_family_is_8_identity(self):
         form = qfi_quadratic_form(spin2_family(0.7))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,6 +221,44 @@ class TestClebschGordan:
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
             clebsch_gordan(0.4, 0.5, 1, 0, 0, 0)
+
+    def test_half_integer_arguments_match_doubled(self):
+        # every valid doubled argument with 2j1, 2j2 <= 6, passed as Fractions, floats and strings
+        for tj1 in range(7):
+            for tj2 in range(7):
+                for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                    for tm1 in range(-tj1, tj1 + 1, 2):
+                        for tm2 in range(-tj2, tj2 + 1, 2):
+                            doubled = (tj1, tj2, tj, tm1, tm2, tm1 + tm2)
+                            want = clebsch_gordan_2(tj1, tm1, tj2, tm2, tj, tm1 + tm2)
+                            halves = [Fraction(x, 2) for x in doubled]
+                            for args in (halves, [x / 2 for x in doubled], [str(h) for h in halves]):
+                                assert clebsch_gordan(*args) == want, args
+
+    def test_negative_j_rejected(self):
+        for args in ((-1, 1, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0), (1, 1, -2, 0, 0, 0)):
+            with pytest.raises(ValueError, match="j1, j2 and j must be >= 0"):
+                clebsch_gordan(*args)
+
+
+class TestHalfIntegerParser:
+    """`SpinLabel.from_j` and `clebsch_gordan` read j and m through one exact parser."""
+
+    @pytest.mark.parametrize("value", [0.5000000001, 0.3, "2/3", True, False, math.inf, -math.inf, math.nan,
+                                       "inf", "x", "1/0", None, [1], 1j, np.float32(0.5)])
+    def test_rejected_with_the_argument_named(self, value):
+        with pytest.raises(ValueError, match="^j must be an integer or half-integer"):
+            SpinLabel.from_j(value)
+        for position, name in enumerate(("j1", "j2", "j", "m1", "m2", "m")):
+            args = [1, 1, 2, 0, 0, 0]
+            args[position] = value
+            with pytest.raises(ValueError, match=f"^{name} must be an integer or half-integer"):
+                clebsch_gordan(*args)
+
+    @pytest.mark.parametrize("value, two_j", [(2, 4), (2.5, 5), ("7/2", 7), (" 3 ", 6), (Fraction(9, 2), 9),
+                                              (np.int64(3), 6), (np.float64(1.5), 3)])
+    def test_exact_values_accepted(self, value, two_j):
+        assert SpinLabel.from_j(value) == SpinLabel(two_j)
 
     def test_wigner_unitarity_rows(self):
         # sum over (m1, m2) of squares equals 1 for every coupled (j, m)

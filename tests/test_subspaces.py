@@ -753,6 +753,14 @@ class TestBounds:
         assert scan.k_max == 3
         assert scan.bound == 4
 
+    @pytest.mark.parametrize("two_j, t", [(1, 1), (2, 2), (3, 2)])
+    def test_kmax_scan_at_bound_zero_runs_no_search(self, two_j, t):
+        # no k >= 1 can exist past the proven bound, so no search is run
+        scan = kmax_scan(SpinLabel(two_j), t, SearchConfig(seed=1, restarts=2))
+        assert scan.bound == 0
+        assert scan.entries == ()
+        assert scan.k_max == 0
+
     def test_spin1_pairs_always_fail_first_order(self, rng):
         # every 2-dim spin-1 frame keeps a dipole matrix element
         s = SpinLabel(2)
