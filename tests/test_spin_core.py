@@ -240,26 +240,6 @@ class TestClebschGordan:
             with pytest.raises(ValueError, match="j1, j2 and j must be >= 0"):
                 clebsch_gordan(*args)
 
-
-class TestHalfIntegerParser:
-    """`SpinLabel.from_j` and `clebsch_gordan` read j and m through one exact parser."""
-
-    @pytest.mark.parametrize("value", [0.5000000001, 0.3, "2/3", True, False, math.inf, -math.inf, math.nan,
-                                       "inf", "x", "1/0", None, [1], 1j, np.float32(0.5)])
-    def test_rejected_with_the_argument_named(self, value):
-        with pytest.raises(ValueError, match="^j must be an integer or half-integer"):
-            SpinLabel.from_j(value)
-        for position, name in enumerate(("j1", "j2", "j", "m1", "m2", "m")):
-            args = [1, 1, 2, 0, 0, 0]
-            args[position] = value
-            with pytest.raises(ValueError, match=f"^{name} must be an integer or half-integer"):
-                clebsch_gordan(*args)
-
-    @pytest.mark.parametrize("value, two_j", [(2, 4), (2.5, 5), ("7/2", 7), (" 3 ", 6), (Fraction(9, 2), 9),
-                                              (np.int64(3), 6), (np.float64(1.5), 3)])
-    def test_exact_values_accepted(self, value, two_j):
-        assert SpinLabel.from_j(value) == SpinLabel(two_j)
-
     def test_wigner_unitarity_rows(self):
         # sum over (m1, m2) of squares equals 1 for every coupled (j, m)
         for tj1, tj2 in ((1, 1), (2, 1), (3, 2), (4, 4)):
@@ -286,6 +266,26 @@ class TestHalfIntegerParser:
         ])
         assert u.shape[0] == u.shape[1]
         assert np.abs(u.T @ u - np.eye(len(coupled))).max() < 1e-12
+
+
+class TestHalfIntegerParser:
+    """`SpinLabel.from_j` and `clebsch_gordan` read j and m through one exact parser."""
+
+    @pytest.mark.parametrize("value", [0.5000000001, 0.3, "2/3", True, False, math.inf, -math.inf, math.nan,
+                                       "inf", "x", "1/0", None, [1], 1j, np.float32(0.5)])
+    def test_rejected_with_the_argument_named(self, value):
+        with pytest.raises(ValueError, match="^j must be an integer or half-integer"):
+            SpinLabel.from_j(value)
+        for position, name in enumerate(("j1", "j2", "j", "m1", "m2", "m")):
+            args = [1, 1, 2, 0, 0, 0]
+            args[position] = value
+            with pytest.raises(ValueError, match=f"^{name} must be an integer or half-integer"):
+                clebsch_gordan(*args)
+
+    @pytest.mark.parametrize("value, two_j", [(2, 4), (2.5, 5), ("7/2", 7), (" 3 ", 6), (Fraction(9, 2), 9),
+                                              (np.int64(3), 6), (np.float64(1.5), 3)])
+    def test_exact_values_accepted(self, value, two_j):
+        assert SpinLabel.from_j(value) == SpinLabel(two_j)
 
 
 def _random_cg_arguments(rng, count: int, max_two_j: int):
