@@ -125,6 +125,8 @@ def perturbed_anticoherent_state(
             raise ValueError(f"coefficient at L={idx.L} lies in an excluded or invalid sector")
     d = spin.dimension
     a = expansion.operator()
+    if isinstance(epsilon, bool):
+        raise ValueError(f"epsilon must be 'max' or a finite number >= 0, not a bool, got {epsilon!r}")
     if epsilon != "max":
         eps = float(epsilon)
     elif np.abs(a).max() == 0.0:

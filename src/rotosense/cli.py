@@ -49,7 +49,10 @@ EXIT_IMPOSSIBLE_K = 5
 
 
 def _parse_spin(text: str) -> SpinLabel:
-    return SpinLabel.from_j(text)
+    try:
+        return SpinLabel.from_j(text)
+    except ValueError as exc:  # argparse prints the reason of this error type only
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_axis(text: str) -> np.ndarray:

@@ -90,7 +90,7 @@ def qfi_from_moments(rho: DensityMatrix, axis) -> float:
     The correction sum runs over image pairs only.  Kept as an independent
     route through the same definition; tests cross-check it against `qfi`.
     """
-    lam, vec = np.linalg.eigh(rho.matrix)
+    lam, vec = rho.spectrum
     jn = component_along(rho.spin, axis)
     keep = lam >= DEFAULT_RANK_TOL
     lam_im = lam[keep]
@@ -143,7 +143,7 @@ class QfiQuadraticForm:
 
 def qfi_quadratic_form(rho: DensityMatrix) -> QfiQuadraticForm:
     """Assemble K from the nine J_a J_b pair sums."""
-    lam, vec = np.linalg.eigh(rho.matrix)
+    lam, vec = rho.spectrum
     p = _qfi_pair_weights(lam)
     ops = angular_momentum_operators(rho.spin)
     m = np.stack([vec.conj().T @ op @ vec for op in ops])

@@ -11,17 +11,21 @@ L = 0 coefficient is pinned to 1/sqrt(2j+1).
 
 Since m' = m + M, T_LM has one non-zero diagonal.  Only that diagonal is
 stored: each L sector is a (2L+1, 2j+1) array, row L + M holding the
-diagonal at offset M by row, built once per (2j, L) from the integer Racah
-sum of `spin_core.clebsch_gordan_2` for M >= 0 and mirrored to M < 0 by the
-adjoint symmetry.  `expand` and `reconstruct` read these diagonals directly,
-so no dense matrix of the full L range is ever built: `expand` multiplies
-each sector by the diagonals of rho laid out the same way, one product and
-one row sum per L; `MultipoleExpansion.operator` scales each term's row and
-adds the rows of each offset M in the expansion's own order.  Dense
-matrices are written from the diagonals into fresh zero arrays;
-`multipole_stack` is the one cache of them, kept for the consumers of the
-low sectors L <= t (the subspace objective and search, `verify_subspace`,
-`is_anticoherent`).  No Clebsch-Gordan coefficient is cached.
+diagonal at offset M by row, built once per (2j, L).  The rows M >= 0 come
+from `spin_core._multipole_row`, which runs the exact Racah sum of
+`clebsch_gordan_2` (`spin_core._racah_cg`) with factorials from one table,
+takes the row's constant factors once, and mirrors half of each row onto
+the other by the symmetry of <j m; L M | j m+M> under m -> -m-M, bit for
+bit.  Rows M < 0 are mirrored from M > 0 by the adjoint symmetry.  `expand`
+and `reconstruct` read these diagonals directly, so no dense matrix of the
+full L range is ever built: `expand` multiplies each sector by the
+diagonals of rho laid out the same way, one product and one row sum per L;
+`MultipoleExpansion.operator` scales each term's row and adds the rows of
+each offset M in the expansion's own order.  Dense matrices are written
+from the diagonals into fresh zero arrays; `multipole_stack` is the one
+cache of them, kept for the consumers of the low sectors L <= t (the
+subspace objective and search, `verify_subspace`, `is_anticoherent`).  No
+Clebsch-Gordan coefficient is cached.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .spin_core import DensityMatrix, SpinLabel, _readonly, check_count, clebsch_gordan_2
+from .spin_core import DensityMatrix, SpinLabel, _multipole_row, _readonly, check_count
 
 CONJUGATION_TOL = 1e-12
 
@@ -71,10 +75,7 @@ def _sector(two_j: int, L: int) -> np.ndarray:
     pref = np.sqrt((2 * L + 1) / d)
     out = np.zeros((2 * L + 1, d))
     for M in range(L + 1):
-        out[L + M, :d - M] = pref * np.array([
-            clebsch_gordan_2(two_j, two_j - 2 * b, 2 * L, 2 * M, two_j, two_j - 2 * b + 2 * M)
-            for b in range(M, d)
-        ])
+        out[L + M, :d - M] = pref * np.array(_multipole_row(two_j, L, M))
     for M in range(1, L + 1):
         # T_L,-M[i, i - M] = (-1)^M T_LM[i - M, i]; + 0.0 turns -0.0 into the +0.0 a zero sum gives
         out[L - M, M:] = (-1) ** M * out[L + M, :d - M] + 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -106,8 +106,11 @@ class SpinLabel:
 
     @classmethod
     def from_j(cls, j) -> "SpinLabel":
-        """Build from j given as int, float, Fraction or a string like '7/2'."""
-        return cls(_as_two(j, "j"))
+        """Build from j >= 0 given as int, float, Fraction or a string like '7/2'."""
+        two_j = _as_two(j, "j")
+        if two_j < 0:
+            raise ValueError(f"j must be >= 0, got {j!r}")
+        return cls(two_j)
 
     @property
     def j(self) -> float:
@@ -233,6 +236,11 @@ class DensityMatrix:
     @property
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
+
+    @cached_property
+    def spectrum(self):
+        """(eigenvalues ascending, eigenvectors) from one `np.linalg.eigh`, taken on first use; read-only."""
+        return tuple(_readonly(a) for a in np.linalg.eigh(self.matrix))
 
     def conjugated(self, unitary: np.ndarray) -> "DensityMatrix":
         return DensityMatrix(self.spin, unitary @ self.matrix @ unitary.conj().T)
@@ -364,34 +372,27 @@ def rotation_operator_euler(spin: SpinLabel, alpha: float, beta: float, gamma: f
 # Clebsch-Gordan coefficients
 # ---------------------------------------------------------------------------
 
-def clebsch_gordan_2(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
-    """<j1 m1; j2 m2 | j m> with all quantum numbers doubled to integers.
+_FACTORIALS = [1]
 
-    Condon-Shortley phases, evaluated from the Racah sum in exact integer
-    arithmetic.  Every term of the sum is an integer once it is multiplied by
-    the common denominator P = zmax! (a-zmin)! (b-zmin)! (c-zmin)! (d+zmax)!
-    (e+zmax)!, and consecutive terms differ by a ratio of small integers, so
-    the sum S is one integer.  The square prefactor * S^2 / P^2 is then a
-    single integer ratio, which true division rounds correctly, as the float
-    of the reduced fraction would be; the result is that ratio's square root
-    with the sign of S.  Selection-rule violations return 0.
+
+def _factorials(n: int) -> list:
+    """The table of k!, one per process, grown on demand to hold k <= n."""
+    for k in range(len(_FACTORIALS), n + 1):
+        _FACTORIALS.append(_FACTORIALS[-1] * k)
+    return _FACTORIALS
+
+
+def _racah_cg(numerator: int, denominator: int, a: int, b: int, c: int, d: int, e: int, f: list) -> float:
+    """sqrt(numerator S^2 / (denominator P^2)) with the sign of S, for the Racah sum S / P.
+
+    The summand of z is (-1)^z / (z! (a-z)! (b-z)! (c-z)! (d+z)! (e+z)!),
+    and f is the factorial table.  Every term of the sum is an integer once
+    it is multiplied by the common denominator P = zmax! (a-zmin)! (b-zmin)!
+    (c-zmin)! (d+zmax)! (e+zmax)!, and consecutive terms differ by a ratio of
+    small integers, so S is one integer.  The square is then a single integer
+    ratio, which true division rounds correctly, as the float of the reduced
+    fraction would be; the result is its square root with the sign of S.
     """
-    if tm1 + tm2 != tm:
-        return 0.0
-    if not (abs(tj1 - tj2) <= tj <= tj1 + tj2) or (tj1 + tj2 + tj) % 2 != 0:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
-        return 0.0
-    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
-        return 0.0
-
-    f = math.factorial
-    # the summand of z is (-1)^z / (z! (a-z)! (b-z)! (c-z)! (d+z)! (e+z)!)
-    a = (tj1 + tj2 - tj) // 2
-    b = (tj1 - tm1) // 2
-    c = (tj2 + tm2) // 2
-    d = (tj - tj2 + tm1) // 2
-    e = (tj - tj1 - tm2) // 2
     zmin = max(0, -d, -e)
     zmax = min(a, b, c)
     span = zmax - zmin
@@ -403,14 +404,63 @@ def clebsch_gordan_2(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -
         term = term * (a - z) * (b - z) * (c - z) // ((z + 1) * (d + z + 1) * (e + z + 1))
     if total == 0:
         return 0.0
-    common = f(zmax) * f(a - zmin) * f(b - zmin) * f(c - zmin) * f(d + zmax) * f(e + zmax)
-    prefactor = (
-        (tj + 1) * f(a) * f((tj1 - tj2 + tj) // 2) * f((tj2 - tj1 + tj) // 2)
-        * f(b) * f((tj1 + tm1) // 2) * f(c) * f((tj2 - tm2) // 2)
-        * f((tj + tm) // 2) * f((tj - tm) // 2)
-    )
-    magnitude = math.sqrt(prefactor * total * total / (f((tj1 + tj2 + tj) // 2 + 1) * common * common))
+    common = f[zmax] * f[a - zmin] * f[b - zmin] * f[c - zmin] * f[d + zmax] * f[e + zmax]
+    magnitude = math.sqrt(numerator * total * total / (denominator * common * common))
     return magnitude if total > 0 else -magnitude
+
+
+def clebsch_gordan_2(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
+    """<j1 m1; j2 m2 | j m> with all quantum numbers doubled to integers.
+
+    Condon-Shortley phases, evaluated by `_racah_cg` in exact integer
+    arithmetic from the factorial table: one correctly rounded integer true
+    division and a square root.  Selection-rule violations return 0.
+    """
+    if tm1 + tm2 != tm:
+        return 0.0
+    if not (abs(tj1 - tj2) <= tj <= tj1 + tj2) or (tj1 + tj2 + tj) % 2 != 0:
+        return 0.0
+    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
+        return 0.0
+    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
+        return 0.0
+
+    top = (tj1 + tj2 + tj) // 2 + 1
+    f = _factorials(top)
+    a = (tj1 + tj2 - tj) // 2
+    b = (tj1 - tm1) // 2
+    c = (tj2 + tm2) // 2
+    prefactor = (
+        (tj + 1) * f[a] * f[(tj1 - tj2 + tj) // 2] * f[(tj2 - tj1 + tj) // 2]
+        * f[b] * f[(tj1 + tm1) // 2] * f[c] * f[(tj2 - tm2) // 2]
+        * f[(tj + tm) // 2] * f[(tj - tm) // 2]
+    )
+    return _racah_cg(prefactor, f[top], a, b, c, (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2, f)
+
+
+def _multipole_row(two_j: int, L: int, M: int) -> list:
+    """<j m; L M | j m+M> for m = j - b, b = M, ..., 2j, with 0 <= M <= L <= 2j.
+
+    The row's constant factors of the square, d L! (2j-L)! L! (L+M)! (L-M)!
+    over (2j+L+1)!, are taken once.  Only the first half of the row is
+    summed: with j1 = j = J the symmetry <j1 m1; j2 m2 | J M'> = (-1)^(j2+m2)
+    sqrt((2J+1)/(2j1+1)) <J -M'; j2 m2 | j1 -m1> (Varshalovich, Moskalev and
+    Khersonskii, Quantum Theory of Angular Momentum (1988), 8.4.3) gives
+    entry b = (-1)^(L+M) entry 2j+M-b.  Both are the correctly rounded root
+    of one exact ratio, so they agree bit for bit; + 0.0 turns a mirrored
+    -0.0 into the +0.0 a zero sum gives.
+    """
+    f = _factorials(two_j + L + 1)
+    row_numerator = (two_j + 1) * f[L] * f[two_j - L] * f[L] * f[L + M] * f[L - M]
+    row_denominator = f[two_j + L + 1]
+    mirror_from = (two_j + M) // 2 + 1  # the first b past the middle of the row
+    half = [
+        _racah_cg(row_numerator * f[b] * f[two_j - b] * f[two_j - b + M] * f[b - M], row_denominator,
+                  L, b, L + M, two_j - L - b, -M, f)
+        for b in range(M, mirror_from)
+    ]
+    sign = -1.0 if (L + M) % 2 else 1.0
+    return half + [sign * half[two_j - b] + 0.0 for b in range(mirror_from, two_j + 1)]
 
 
 def clebsch_gordan(j1, j2, j, m1, m2, m) -> float:
@@ -455,7 +505,7 @@ def eigen_mixture(rho: DensityMatrix) -> EigenMixture:
     Eigenvalues below DEFAULT_RANK_TOL belong to the kernel, which is not
     kept; the retained count defines the rank.
     """
-    lam, vec = np.linalg.eigh(rho.matrix)
+    lam, vec = rho.spectrum
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     vec = vec[:, order]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotosense.spin_core import DensityMatrix, PureState, SpinLabel
+from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, clebsch_gordan_2
 
 
 def random_pure(spin: SpinLabel, rng) -> PureState:
@@ -62,6 +62,22 @@ def fraction_clebsch_gordan_2(tj1, tm1, tj2, tm2, tj, tm) -> float:
         return 0.0
     magnitude = math.sqrt(prefactor * total * total)
     return magnitude if total > 0 else -magnitude
+
+
+def serial_sector(two_j: int, L: int) -> np.ndarray:
+    """Reference multipole sector: every coefficient from its own `clebsch_gordan_2`, row after row,
+    as `multipole._sector` built it before rows shared their factors and mirrored their halves."""
+    d = two_j + 1
+    pref = np.sqrt((2 * L + 1) / d)
+    out = np.zeros((2 * L + 1, d))
+    for M in range(L + 1):
+        out[L + M, :d - M] = pref * np.array([
+            clebsch_gordan_2(two_j, two_j - 2 * b, 2 * L, 2 * M, two_j, two_j - 2 * b + 2 * M)
+            for b in range(M, d)
+        ])
+    for M in range(1, L + 1):
+        out[L - M, M:] = (-1) ** M * out[L + M, :d - M] + 0.0
+    return out
 
 
 @pytest.fixture

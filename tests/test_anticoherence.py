@@ -259,6 +259,13 @@ class TestPerturbationContract:
         with pytest.raises((ValueError, TypeError)):
             perturbed_anticoherent_state(SpinLabel(4), {1}, coefficients, epsilon=epsilon)
 
+    @pytest.mark.parametrize("coefficients", [{}, {(2, 0): 0.1}])
+    @pytest.mark.parametrize("epsilon", [True, False])
+    def test_bool_epsilon_rejected(self, coefficients, epsilon):
+        # True once read as the step 1.0 and gave a state of purity 0.21
+        with pytest.raises(ValueError, match="epsilon .*bool"):
+            perturbed_anticoherent_state(SpinLabel(4), {1}, coefficients, epsilon=epsilon)
+
     @pytest.mark.parametrize("epsilon", ["max", 0.0, 0.3])
     def test_zero_perturbation_gives_the_maximally_mixed_state(self, epsilon):
         rho = perturbed_anticoherent_state(SpinLabel(4), {1}, {}, epsilon=epsilon)

@@ -395,6 +395,21 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["search", "--j", "-1", "--k", "1", "--t", "1", "--seed", "1"], "argument --j: j must be >= 0, got '-1'"),
+        (["search", "--j", "0.3", "--k", "1", "--t", "1", "--seed", "1"],
+         "argument --j: j must be an integer or half-integer, got '0.3'"),
+        (["reproduce", "--target", "tables", "--out", "unused", "--max-j=-1/2"],
+         "argument --max-j: j must be >= 0, got '-1/2'"),
+    ])
+    def test_spin_usage_error_gives_the_reason(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: rotosense")
+        assert reason in err
+        assert "_parse_spin" not in err
+
     def test_help_exit_zero(self, capsys):
         code, out, _ = run(capsys, "certify", "--help")
         assert code == 0

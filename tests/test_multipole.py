@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from rotosense import multipole
+from rotosense import multipole, spin_core
 from rotosense.multipole import (
     MultipoleExpansion,
     MultipoleIndex,
@@ -20,7 +20,7 @@ from rotosense.spin_core import (
     angular_momentum_operators,
     ladder_operators,
 )
-from conftest import fraction_clebsch_gordan_2, random_density
+from conftest import fraction_clebsch_gordan_2, random_density, serial_sector
 
 
 def all_indices(two_j):
@@ -384,3 +384,28 @@ class TestOperatorEdges:
         op = exp.operator()
         assert fresh.cache_info().misses == 3  # L = 0, 3 and 5 of the 81 sectors
         assert op.tobytes() == sequential_operator(exp).tobytes()
+
+
+class TestSectorsMatchTheSerialOracle:
+    """Each sector, built from shared row factors and mirrored half rows, has the bytes of the
+    sector built one Clebsch-Gordan coefficient at a time."""
+
+    @pytest.mark.parametrize("two_j", list(range(0, 41)))
+    def test_every_sector_up_to_two_j_40(self, two_j):
+        for L in range(two_j + 1):
+            assert multipole._sector.__wrapped__(two_j, L).tobytes() == serial_sector(two_j, L).tobytes(), L
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 40, 79, 80])
+    def test_sectors_at_two_j_80(self, L):
+        assert multipole._sector.__wrapped__(80, L).tobytes() == serial_sector(80, L).tobytes()
+
+    def test_cold_build_grows_the_factorial_table(self, monkeypatch):
+        monkeypatch.setattr(spin_core, "_FACTORIALS", [1])
+        for L in range(6):
+            assert multipole._sector.__wrapped__(5, L).tobytes() == serial_sector(5, L).tobytes()
+        grown = len(spin_core._FACTORIALS)
+        assert grown == 5 + 5 + 2  # k! for k <= 2j + L + 1 at the largest L
+        for L in (0, 40, 80):
+            assert multipole._sector.__wrapped__(80, L).tobytes() == serial_sector(80, L).tobytes()
+        assert len(spin_core._FACTORIALS) == 80 + 80 + 2
+        assert all(f == math.factorial(k) for k, f in enumerate(spin_core._FACTORIALS))

@@ -6,7 +6,7 @@ import pytest
 
 from rotosense import oqr
 from rotosense.anticoherence import ANTICOHERENCE_TOL, anticoherence_measure, is_anticoherent
-from rotosense.metrology import averaged_inverse_qfi, averaged_qfi
+from rotosense.metrology import averaged_inverse_qfi, averaged_inverse_qfi_from_form, averaged_qfi, qfi_quadratic_form
 from rotosense.oqr import (
     certify,
     pure_coherent_superposition_a2,
@@ -19,7 +19,14 @@ from rotosense.oqr import (
     spin3_oqr_family,
 )
 from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, eigen_mixture
-from rotosense.subspaces import SUCCESS_THRESHOLD, construct_two_ac_family, spin3_one_ac_triple
+from rotosense.subspaces import (
+    SUCCESS_THRESHOLD,
+    SubspaceFrame,
+    catalog,
+    construct_two_ac_family,
+    objective_g_t,
+    spin3_one_ac_triple,
+)
 from conftest import random_density
 
 
@@ -242,3 +249,46 @@ class TestTwoAcFamilyMixtures:
         assert v.is_oqr_qcrb
         j = two_j / 2
         assert averaged_qfi(rho) == pytest.approx(4 * j * (j + 1) / 3, rel=1e-10)
+
+
+def _catalog_and_family_states():
+    states = {name: DensityMatrix.from_mixture(np.full(e.frame.k, 1.0 / e.frame.k), e.frame.basis)
+              for name, e in sorted(catalog().items())}
+    states.update({f"spin2_family({xi})": spin2_family(xi) for xi in (0.2, 0.35, 0.5, 0.7, 1.0)})
+    states.update({f"spin3_oqr_family({lam})": spin3_oqr_family(lam) for lam in (0.0, 0.2, 1.0 / 3.0)})
+    states["spin32_ghz"] = spin32_ghz().density_matrix()
+    return states
+
+
+class TestOneEigendecomposition:
+    """certify takes the spectrum of rho once; eigen_mixture and the QFI form share it."""
+
+    def test_certify_calls_eigh_once(self, monkeypatch):
+        rho = spin3_oqr_family(0.2)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
+        certify(rho)
+        assert calls == [(7, 7)]
+        certify(rho)
+        assert calls == [(7, 7)]
+
+    def test_spectrum_is_read_only(self):
+        lam, vec = spin2_family(0.7).spectrum
+        assert not lam.flags.writeable and not vec.flags.writeable
+
+    @pytest.mark.parametrize("name", list(_catalog_and_family_states()))
+    def test_verdict_matches_one_eigh_per_consumer(self, name):
+        rho = _catalog_and_family_states()[name]
+        # eigen_mixture and qfi_quadratic_form each on a copy of their own, so each takes its own eigh
+        mixture = eigen_mixture(DensityMatrix(rho.spin, rho.matrix))
+        form = qfi_quadratic_form(DensityMatrix(rho.spin, rho.matrix))
+        frame = SubspaceFrame(rho.spin, mixture.states)
+        want = (objective_g_t(frame, 1), is_anticoherent(rho, 2).max_violation, form.isotropy_gap,
+                form.averaged, averaged_inverse_qfi_from_form(form))
+        v = certify(DensityMatrix(rho.spin, rho.matrix))
+        got = (v.image_g1, v.anticoherence_order2_violation, v.isotropy_gap, v.averaged_qfi, v.qcrb)
+        assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+        assert v.image_frame.k == frame.k
+        for a, b in zip(v.image_frame.basis, frame.basis):
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes()

@@ -282,6 +282,11 @@ class TestHalfIntegerParser:
             with pytest.raises(ValueError, match=f"^{name} must be an integer or half-integer"):
                 clebsch_gordan(*args)
 
+    @pytest.mark.parametrize("value", [-1, -0.5, "-7/2", Fraction(-3, 2), np.int64(-2)])
+    def test_negative_j_rejected_naming_j(self, value):
+        with pytest.raises(ValueError, match=r"^j must be >= 0, got "):
+            SpinLabel.from_j(value)
+
     @pytest.mark.parametrize("value, two_j", [(2, 4), (2.5, 5), ("7/2", 7), (" 3 ", 6), (Fraction(9, 2), 9),
                                               (np.int64(3), 6), (np.float64(1.5), 3)])
     def test_exact_values_accepted(self, value, two_j):
@@ -504,3 +509,24 @@ class TestInputContracts:
         # M - M^dag and the trace overflow here; the check reads them as inf without a warning
         with pytest.raises(ValueError, match=message):
             DensityMatrix(SpinLabel(1), np.array(matrix))
+
+
+class TestMultipoleRowMirror:
+    """<j m; L M | j m+M> = (-1)^(L+M) <j -m-M; L M | j -m>, bit for bit, the row mirror of `multipole._sector`."""
+
+    def test_mirror_identity_on_clebsch_gordan_2(self):
+        zeros = 0
+        for two_j in range(25):
+            for L in range(two_j + 1):
+                for M in range(L + 1):
+                    sign = -1.0 if (L + M) % 2 else 1.0
+                    for b in range(M, two_j + 1):
+                        tm = two_j - 2 * b
+                        got = clebsch_gordan_2(two_j, tm, 2 * L, 2 * M, two_j, tm + 2 * M)
+                        mirror = clebsch_gordan_2(two_j, -tm - 2 * M, 2 * L, 2 * M, two_j, -tm)
+                        want = sign * mirror + 0.0
+                        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (two_j, L, M, b)
+                        if got == 0.0:
+                            zeros += 1
+                            assert not np.signbit(got) and not np.signbit(mirror)
+        assert zeros > 100
