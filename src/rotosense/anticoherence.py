@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 
 import numpy as np
 
-from .multipole import MultipoleExpansion, MultipoleIndex, multipole_operator, multipole_stack
+from .multipole import MultipoleExpansion, MultipoleIndex, multipole_expectations, multipole_operator
 from .spin_core import DensityMatrix, SpinLabel, check_count, embedding_isometry
 
 ANTICOHERENCE_TOL = 1e-8
@@ -66,9 +66,7 @@ def is_anticoherent(rho: DensityMatrix, t: int) -> AnticoherenceCheck:
     l_max = min(check_count("order t", t, 1), rho.spin.two_j)
     if l_max < 1:
         return AnticoherenceCheck(0.0)
-    ts = multipole_stack(rho.spin.two_j, 1, l_max)
-    vals = np.einsum("aij,ji->a", ts, rho.matrix)
-    return AnticoherenceCheck(float(np.abs(vals).max()))
+    return AnticoherenceCheck(float(np.abs(multipole_expectations(rho.matrix, l_max)).max()))
 
 
 @dataclass(frozen=True)

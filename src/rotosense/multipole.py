@@ -21,11 +21,12 @@ and `reconstruct` read these diagonals directly, so no dense matrix of the
 full L range is ever built: `expand` multiplies each sector by the
 diagonals of rho laid out the same way, one product and one row sum per L;
 `MultipoleExpansion.operator` scales each term's row and adds the rows of
-each offset M in the expansion's own order.  Dense matrices are written
-from the diagonals into fresh zero arrays; `multipole_stack` is the one
-cache of them, kept for the consumers of the low sectors L <= t (the
-subspace objective and search, `verify_subspace`, `is_anticoherent`).  No
-Clebsch-Gordan coefficient is cached.
+each offset M in the expansion's own order.  The low sectors L <= t of the
+search, `objective_g_t` and `is_anticoherent` go through one band kernel:
+psi T_LM is a gather of psi times a row of values, T_LM psi^dag comes from
+those products and Tr(rho T_LM) is a band sum.  Dense matrices are written
+from the diagonals into fresh zero arrays; their cached view `multipole_stack`
+is on no library path.  No Clebsch-Gordan coefficient is cached.
 """
 
 from __future__ import annotations
@@ -118,12 +119,8 @@ def multipole_operator(spin: SpinLabel, index: MultipoleIndex) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def multipole_stack(two_j: int, l_min: int, l_max: int) -> np.ndarray:
-    """All T_LM for l_min <= L <= l_max stacked along the first axis.
-
-    Index order is (L, M) with M ascending within each L; used by the
-    anticoherence checks and the subspace objective, where whole low L
-    sectors are consumed at once.  Cached; do not mutate the result.
-    """
+    """All T_LM for l_min <= L <= l_max, (L, M) ascending, as dense matrices stacked along the first axis:
+    the view for callers and tests, where the library reads the band kernel.  Cached; do not mutate it."""
     if not 0 <= l_min <= l_max <= two_j:
         raise ValueError(f"invalid L range [{l_min}, {l_max}] for two_j={two_j}")
     indices = [(L, M) for L in range(l_min, l_max + 1) for M in range(-L, L + 1)]
@@ -131,6 +128,38 @@ def multipole_stack(two_j: int, l_min: int, l_max: int) -> np.ndarray:
     for k, (L, M) in enumerate(indices):
         _fill(out[k], two_j, L, M)
     return _readonly(out)
+
+
+@lru_cache(maxsize=None)
+def _band(two_j: int, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of the T_a, 1 <= L <= t, (L, M) ascending, and their offsets M: column e of T_a holds
+    values[a, e] in row columns[a, e] = e - M, or zero, reading row 0, where that row is outside."""
+    if not 1 <= t <= two_j:
+        raise ValueError(f"invalid L range [1, {t}] for two_j={two_j}")
+    offsets = np.concatenate([np.arange(-L, L + 1) for L in range(1, t + 1)])
+    rows = np.arange(two_j + 1) - offsets[:, None]
+    columns = np.where((0 <= rows) & (rows <= two_j), rows, 0)
+    values = np.take_along_axis(np.concatenate([_sector(two_j, L) for L in range(1, t + 1)]), columns, axis=1)
+    return _readonly(columns), _readonly(np.where(columns == rows, values, 0.0).astype(complex)), _readonly(offsets)
+
+
+def multipole_products(psi: np.ndarray, t: int) -> np.ndarray:
+    """psi T_a for a (..., k, 2j+1) frame stack psi, 1 <= L <= t, (L, M) ascending: one gather of psi times
+    one row of values per T_a, C-contiguous (..., k, A, 2j+1), the numbers of psi @ [T_1 ... T_A]."""
+    columns, values, _ = _band(psi.shape[-1] - 1, t)
+    return np.take(psi, columns, axis=-1) * values
+
+
+def adjoint_products(products: np.ndarray, t: int) -> np.ndarray:
+    """[..., j, a, e] = (T_a psi^dag)[e, j] from `multipole_products(psi, t)`, as (-1)^M conj(psi T_L,-M)."""
+    offsets = _band(products.shape[-1] - 1, t)[2]
+    return products[..., np.arange(offsets.size) - 2 * offsets, :].conj() * (1 - 2 * (offsets % 2))[:, None]
+
+
+def multipole_expectations(matrix: np.ndarray, t: int) -> np.ndarray:
+    """Tr(rho T_a), 1 <= L <= t, (L, M) ascending: sum_e T_a[e - M, e] rho[e, e - M], added in sequence."""
+    columns, values, _ = _band(matrix.shape[-1] - 1, t)
+    return np.einsum("ae,ae->a", values, matrix[np.arange(matrix.shape[-1]), columns])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import ClassVar, Dict, List, Tuple
 
 import numpy as np
 
-from .multipole import MultipoleIndex, multipole_operator, multipole_stack
+from .multipole import MultipoleIndex, adjoint_products, multipole_operator, multipole_products
 from .spin_core import PureState, SpinLabel, angular_momentum_operators, check_count, check_orthonormal, rotation_operator_euler
 
 SUCCESS_THRESHOLD = 1e-10
@@ -145,7 +145,7 @@ def objective_g_lm(frame: SubspaceFrame, L: int, M: int) -> float:
 def objective_g_t(frame: SubspaceFrame, t: int) -> float:
     """G_t = sum over L = 1..t and all M of the pairwise objective."""
     m = frame.matrix()
-    return _pair_sum(m @ multipole_stack(frame.spin.two_j, 1, check_count("t", t, 1)) @ m.conj().T)
+    return _pair_sum(multipole_products(m, check_count("t", t, 1)).swapaxes(0, 1) @ m.conj().T)
 
 
 def verify_subspace(frame: SubspaceFrame, t: int) -> SubspaceCertificate:
@@ -205,22 +205,17 @@ def _orthonormalize_rows(psi: np.ndarray) -> np.ndarray:
     return (q * phases[..., None, :]).conj().swapaxes(-1, -2)
 
 
-def _wide(ts: np.ndarray) -> np.ndarray:
-    """The (A, d, d) operator stack laid side by side as one (d, A*d) matrix [T_1 T_2 ... T_A]."""
-    return ts.transpose(1, 0, 2).reshape(ts.shape[1], -1)
+def _trace_objective_and_gradient(psi: np.ndarray, t: int):
+    """sum_a ||psi T_a psi^dag||_F^2, 1 <= L <= t, and its conjugate-Wirtinger gradient, per frame of a stack.
 
-
-def _trace_objective_and_gradient(psi: np.ndarray, wide: np.ndarray):
-    """sum_a ||psi T_a psi^dag||_F^2 and its conjugate-Wirtinger gradient, per frame of a stack.
-
-    `wide` is `_wide(ts)`.  Three GEMMs per frame: pt holds the rows
-    (psi T_a)[l], ordered (l, a); b = pt psi^dag holds every block
+    pt holds the rows (psi T_a)[l], ordered (l, a), from `multipole_products`;
+    two GEMMs per frame follow: b = pt psi^dag holds every block
     B_a = psi T_a psi^dag; the gradient sum_a (B_a^dag psi T_a + B_a psi T_a^dag)
     is 2 b^dag pt.  Its second term equals the first because the stack holds
     every M of each L and T_{L,-M} = (-1)^M T_{LM}^dag, so that
     sum_a B_a psi T_a^dag = sum_a B_a^dag psi T_a.
     """
-    pt = (psi @ wide).reshape(*psi.shape[:-2], -1, psi.shape[-1])
+    pt = multipole_products(psi, t).reshape(*psi.shape[:-2], -1, psi.shape[-1])
     b = pt @ psi.conj().swapaxes(-1, -2)
     value = np.sum(np.abs(b) ** 2, axis=(-2, -1))
     grad = 2 * (b.conj().swapaxes(-1, -2) @ pt)
@@ -233,8 +228,8 @@ def _tangent(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - 0.5 * (s + s.conj().swapaxes(-1, -2)) @ psi
 
 
-def _residual_and_jacobian(psi: np.ndarray, ts: np.ndarray):
-    """Real residual of the blocks psi T psi^dag and its Jacobian in (Re psi, Im psi).
+def _residual_and_jacobian(psi: np.ndarray, t: int):
+    """Real residual of the blocks psi T_a psi^dag, 1 <= L <= t, and its Jacobian in (Re psi, Im psi).
 
     The residual stacks the real and imaginary parts of every block entry, so
     its squared norm is the trace objective.  Column (part, m, e) is the
@@ -242,13 +237,13 @@ def _residual_and_jacobian(psi: np.ndarray, ts: np.ndarray):
     part of psi[m, e], for the 2kd real parameters of the frame.
     """
     k, d = psi.shape
-    blocks = psi @ ts @ psi.conj().T
-    # dB_a = dpsi (T_a psi^dag) + (psi T_a) dpsi^dag, entry by entry
-    p = np.swapaxes(ts @ psi.conj().T, 1, 2)[:, None, :, None, :]  # [a, -, j, -, e] = (T_a psi^dag)[e, j]
-    q = (psi @ ts)[:, :, None, None, :]                              # [a, i, -, -, e] = (psi T_a)[i, e]
+    pt = multipole_products(psi, t)
+    blocks = pt.swapaxes(0, 1) @ psi.conj().T
+    # dB_a = dpsi (T_a psi^dag) + (psi T_a) dpsi^dag, entry by entry; p[a, -, j, -, e] = (T_a psi^dag)[e, j]
+    p = adjoint_products(pt, t).swapaxes(0, 1)[:, None, :, None, :]
     eye = np.eye(k)
     left = eye[None, :, None, :, None] * p    # delta_im (T_a psi^dag)[e, j]
-    right = eye[None, None, :, :, None] * q   # delta_jm (psi T_a)[i, e]
+    right = eye[None, None, :, :, None] * pt.swapaxes(0, 1)[:, :, None, None, :]  # delta_jm (psi T_a)[i, e]
     jac = np.stack([left + right, 1j * (left - right)], axis=3).reshape(-1, 2 * k * d)
     residual = np.concatenate([blocks.real.ravel(), blocks.imag.ravel()])
     return residual, np.concatenate([jac.real, jac.imag])
@@ -279,8 +274,8 @@ class SearchResult:
         return self.certificate.verified
 
 
-def _restart(psi, f, g, gn2, ts, gate):
-    """One restart of the two-phase descent of the trace objective f, as a coroutine.
+def _restart(psi, f, g, gn2, t, gate):
+    """One restart of the two-phase descent of the trace objective f at order t, as a coroutine.
 
     Starts from the frame `psi` with objective f, tangent gradient g and
     squared gradient norm gn2.  Phase 1 takes Barzilai-Borwein-scaled,
@@ -319,7 +314,7 @@ def _restart(psi, f, g, gn2, ts, gate):
             break
         if second_order and f <= LM_ENTRY:
             iterations += 1
-            residual, jac = _residual_and_jacobian(psi, ts)
+            residual, jac = _residual_and_jacobian(psi, t)
             normal = jac.T @ jac
             rhs = -(jac.T @ residual)
             diag = np.diag_indices_from(normal)
@@ -366,15 +361,15 @@ def _restart(psi, f, g, gn2, ts, gate):
     return psi, f, iterations, reason, evaluations
 
 
-def _evaluate(psi, wide):
-    """Objective, tangent gradient and its squared norm for each frame of an (R, k, d) stack."""
-    f, g = _trace_objective_and_gradient(psi, wide)
+def _evaluate(psi, t):
+    """Objective at order t, tangent gradient and its squared norm for each frame of an (R, k, d) stack."""
+    f, g = _trace_objective_and_gradient(psi, t)
     g = _tangent(psi, g)
     return f.tolist(), g, np.sum(np.abs(g) ** 2, axis=(1, 2)).tolist()
 
 
-def _descend(psi, ts, gate):
-    """Run one `_restart` per frame of the (R, k, d) stack `psi`, evaluating their trials together.
+def _descend(psi, t, gate):
+    """Run one `_restart` at order t per frame of the (R, k, d) stack `psi`, evaluating their trials together.
 
     In each round every restart that has not stopped yields one step
     request (psi, direction, step).  One stacked base - steps * directions
@@ -402,8 +397,7 @@ def _descend(psi, ts, gate):
     Returns (psi, f, iterations, reasons, evaluations), one entry per
     restart.
     """
-    wide = _wide(ts)
-    restarts = [_restart(*start, ts, gate) for start in zip(psi, *_evaluate(psi, wide))]
+    restarts = [_restart(*start, t, gate) for start in zip(psi, *_evaluate(psi, t))]
     results = [None] * len(restarts)
     # live restart -> (bytes of its last trial, the reply to it); None primes the coroutine
     last = dict.fromkeys(range(len(restarts)), (None, None))
@@ -429,7 +423,7 @@ def _descend(psi, ts, gate):
         if len(keep) < len(rows):
             trials, base, grad = trials[keep], base[keep], grad[keep]
         q = _orthonormalize_rows(trials)
-        f, g, gn2 = _evaluate(q, wide)
+        f, g, gn2 = _evaluate(q, t)
         dpsi = q.swapaxes(1, 2) - base  # transposed, so each frame is summed column-major
         num = (np.abs(dpsi) ** 2).sum(axis=(1, 2))
         den = np.abs((dpsi.swapaxes(1, 2).conj() * (g - grad)).real.sum(axis=(1, 2)))
@@ -455,13 +449,12 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
     k, t = check_count("k", k, 1), check_count("t", t, 1)
     if k > spin.dimension:
         raise ValueError(f"k must be in 1..{spin.dimension}")
-    ts = multipole_stack(spin.two_j, 1, t)
     d = spin.dimension
     starts = []
     for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
         rng = np.random.default_rng(child)
         starts.append(rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)))
-    psi, f, iterations, reasons, evaluations = _descend(_orthonormalize_rows(np.stack(starts)), ts, DESCENT_GATE)
+    psi, f, iterations, reasons, evaluations = _descend(_orthonormalize_rows(np.stack(starts)), t, DESCENT_GATE)
     records = tuple(
         RestartRecord(i, float(f[i]), int(iterations[i]), reasons[i], int(evaluations[i]))
         for i in range(config.restarts)
@@ -471,7 +464,7 @@ def search_subspace(spin: SpinLabel, k: int, t: int, config: SearchConfig) -> Se
     if f[best] <= DESCENT_GATE:
         # a hit is already inside its basin; polishing to the machine floor
         # removes the O(sqrt(threshold)) frame noise left by the stop gate
-        best_psi = _descend(best_psi[None], ts, 0.0)[0][0]
+        best_psi = _descend(best_psi[None], t, 0.0)[0][0]
     frame = SubspaceFrame.from_amplitudes(spin, _orthonormalize_rows(best_psi))
     return SearchResult(verify_subspace(frame, t), records, config)
 

@@ -39,6 +39,7 @@ from rotosense import (
     verify_subspace,
 )
 from rotosense.metrology import qfi_from_moments
+from rotosense import multipole
 from rotosense.multipole import multipole_operator, multipole_stack
 from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
 from rotosense.spin_core import embedding_isometry
@@ -230,6 +231,7 @@ def test_integer_arguments_are_checked_whatever_the_cache_holds(name):
     # lru_cache takes 1.0, True and 1 for one key, so the check must come first
     call, n = INTEGER_ARGUMENTS[name]
     multipole_stack.cache_clear()
+    multipole._band.cache_clear()
     embedding_isometry.cache_clear()
     for bad in (1.5, True, float(n)):
         with pytest.raises(ValueError, match="must be an integer"):

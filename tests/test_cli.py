@@ -379,6 +379,18 @@ class TestSearchCommand:
         assert code2 == 5
         assert "bound" in err2
 
+    def test_out_of_memory_exit_one(self, monkeypatch, capsys):
+        def search_subspace(*args):
+            raise MemoryError("Unable to allocate 1.07 GiB for an array with shape (12002, 12002) "
+                              "and data type float64")
+
+        monkeypatch.setattr(cli, "search_subspace", search_subspace)
+        code, out, err = run(capsys, "search", "--j", "3000", "--k", "1", "--t", "1", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory: Unable to allocate 1.07 GiB")
+        assert "Traceback" not in err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [

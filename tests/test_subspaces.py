@@ -261,18 +261,17 @@ def seeded_starts(two_j, k, seed, restarts):
 class TestDescentEngine:
     @pytest.mark.parametrize("two_j, k, t", [(10, 2, 2), (9, 4, 1)])
     def test_jacobian_matches_finite_differences(self, rng, two_j, k, t):
-        ts = multipole_stack(two_j, 1, t)
         psi = random_frame(SpinLabel(two_j), k, rng).matrix()
-        residual, jac = subspaces._residual_and_jacobian(psi, ts)
+        residual, jac = subspaces._residual_and_jacobian(psi, t)
         assert jac.shape == (residual.size, 2 * k * (two_j + 1))
         assert float(residual @ residual) == pytest.approx(
-            subspaces._trace_objective_and_gradient(psi, subspaces._wide(ts))[0], rel=1e-12)
+            subspaces._trace_objective_and_gradient(psi, t)[0], rel=1e-12)
         h = 1e-6
         for _ in range(6):
             x = rng.normal(size=jac.shape[1])
             delta = (x[: x.size // 2] + 1j * x[x.size // 2:]).reshape(psi.shape)
-            plus = subspaces._residual_and_jacobian(psi + h * delta, ts)[0]
-            minus = subspaces._residual_and_jacobian(psi - h * delta, ts)[0]
+            plus = subspaces._residual_and_jacobian(psi + h * delta, t)[0]
+            minus = subspaces._residual_and_jacobian(psi - h * delta, t)[0]
             # central differences of a quadratic map are exact up to rounding
             assert np.abs((plus - minus) / (2 * h) - jac @ x).max() < 1e-8
 
@@ -293,9 +292,8 @@ class TestDescentEngine:
         assert not any(r.iterations >= MAX_ITERATIONS for r in result.records)
 
     def test_lm_step_that_raises_objective_is_rejected(self, monkeypatch):
-        ts = multipole_stack(10, 1, 2)
         # restart 1 of the crawl cell, descended by phase 1 to the LM entry
-        (psi,), (f0,), _, _, _ = subspaces._descend(seeded_starts(10, 2, 20240004, 2)[1:], ts, LM_ENTRY)
+        (psi,), (f0,), _, _, _ = subspaces._descend(seeded_starts(10, 2, 20240004, 2)[1:], 2, LM_ENTRY)
         assert f0 <= LM_ENTRY
         trials = []
         evaluate = subspaces._trace_objective_and_gradient
@@ -307,7 +305,7 @@ class TestDescentEngine:
 
         monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
         monkeypatch.setattr(subspaces, "MAX_ITERATIONS", 1)
-        _, (f1,), (iterations,), (reason,), (evaluations,) = subspaces._descend(psi[None], ts, 0.0)
+        _, (f1,), (iterations,), (reason,), (evaluations,) = subspaces._descend(psi[None], 2, 0.0)
         assert (iterations, reason) == (1, "iteration_cap")
         lm_trials = trials[1:]  # trials[0] evaluates the start frame
         assert evaluations == len(trials)
@@ -366,7 +364,6 @@ class TestLockstepBatch:
         (10, 2, 2, 20240004),  # crawl cell
     ])
     def test_driver_evaluates_all_pending_trials_together(self, monkeypatch, two_j, k, t, seed):
-        ts = multipole_stack(two_j, 1, t)
         psi = seeded_starts(two_j, k, seed, 16)
         frames = []
         evaluate = subspaces._trace_objective_and_gradient
@@ -376,7 +373,7 @@ class TestLockstepBatch:
             return evaluate(p, t)
 
         monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
-        evaluations = subspaces._descend(psi, ts, subspaces.DESCENT_GATE)[4]
+        evaluations = subspaces._descend(psi, t, subspaces.DESCENT_GATE)[4]
         # one call for the start frames, then one per round over every pending trial
         assert frames[0] == 16
         assert len(frames) == max(evaluations)
@@ -413,10 +410,10 @@ class TestRepeatedTrials:
         # the gate-0 polish of the (2,2,1) hit ends with backtracks whose step
         # is below the spacing of the floats, so most of its trials repeat
         ts = multipole_stack(4, 1, 1)
-        psi, f, _, _, _ = subspaces._descend(seeded_starts(4, 2, 20240004, 16), ts, DESCENT_GATE)
+        psi, f, _, _, _ = subspaces._descend(seeded_starts(4, 2, 20240004, 16), 1, DESCENT_GATE)
         best = psi[min(range(len(f)), key=f.__getitem__)]
         scored = self.recording_scorer(monkeypatch)
-        (frame,), (value,), (iterations,), (reason,), (evaluations,) = subspaces._descend(best[None], ts, 0.0)
+        (frame,), (value,), (iterations,), (reason,), (evaluations,) = subspaces._descend(best[None], 1, 0.0)
         assert len(scored) <= 10
         assert evaluations == 51
         want = serial_descend(best, ts, 0.0)
@@ -424,7 +421,6 @@ class TestRepeatedTrials:
         assert (value, iterations, reason, evaluations) == want[1:]
 
     def test_repeated_trial_gets_the_stored_reply(self, monkeypatch):
-        ts = multipole_stack(4, 1, 1)
         start, trial, fresh = seeded_starts(4, 2, 20240004, 3)
         replies = []
 
@@ -435,7 +431,7 @@ class TestRepeatedTrials:
 
         monkeypatch.setattr(subspaces, "_restart", restart)
         scored = self.recording_scorer(monkeypatch)
-        assert subspaces._descend(start[None], ts, 0.0)[4] == [5]
+        assert subspaces._descend(start[None], 1, 0.0)[4] == [5]
         # the start frame, then the retracted first trial and the retracted new one
         assert [p.tobytes() for p in scored] == [p.tobytes() for p in (start, replies[0][0], replies[3][0])]
         first = replies[0]
@@ -484,12 +480,11 @@ class TestStepRequests:
             return psi, reply[1], 12, "iteration_cap", 13
 
         monkeypatch.setattr(subspaces, "_restart", restart)
-        subspaces._descend(seeded_starts(two_j, k, 20240031, restarts), multipole_stack(two_j, 1, t), 0.0)
+        subspaces._descend(seeded_starts(two_j, k, 20240031, restarts), t, 0.0)
         assert len(checked) >= 8 * restarts and all(checked)
         assert repeated and all(repeated)
 
     def test_kept_reply_after_a_base_move_is_not_accepted(self, monkeypatch):
-        ts = multipole_stack(8, 1, 2)
         start = seeded_starts(8, 2, 20240003, 1)
         seen = {}
 
@@ -507,7 +502,7 @@ class TestStepRequests:
 
         monkeypatch.setattr(subspaces, "_restart", restart)
         scored = TestRepeatedTrials.recording_scorer(monkeypatch)
-        subspaces._descend(start, ts, 0.0)
+        subspaces._descend(start, 2, 0.0)
         first, again = seen["first"], seen["again"]
         assert len(scored) == 2  # the start frame and the first trial: the repeat is answered from the memo
         assert again is first
@@ -691,9 +686,8 @@ class TestGemmKernel:
     ])
     def test_matches_einsum_reference(self, two_j, k, t, restarts):
         ts = multipole_stack(two_j, 1, t)
-        wide = subspaces._wide(ts)
         psi = seeded_starts(two_j, k, 20240021, restarts)
-        value, grad = subspaces._trace_objective_and_gradient(psi, wide)
+        value, grad = subspaces._trace_objective_and_gradient(psi, t)
         want_value, want_grad = einsum_objective_and_gradient(psi, ts)
         assert value.shape == (restarts,) and grad.shape == psi.shape
         assert np.all(np.abs(value - want_value) <= 1e-13 * want_value)
@@ -701,7 +695,7 @@ class TestGemmKernel:
         assert np.all(np.abs(grad - want_grad).max(axis=(1, 2)) <= 1e-13 * scale)
         # frame r of the stack has the bits of a one-frame call on it
         for r in range(restarts):
-            v, g = subspaces._trace_objective_and_gradient(psi[r], wide)
+            v, g = subspaces._trace_objective_and_gradient(psi[r], t)
             assert v.tobytes() == value[r].tobytes() and g.tobytes() == grad[r].tobytes()
 
     @pytest.mark.parametrize("two_j", [4, 10, 40])
