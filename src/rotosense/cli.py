@@ -349,8 +349,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except MemoryError as exc:  # numpy's _ArrayMemoryError names the allocation that failed
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's _ArrayMemoryError names the allocation that failed; a bare one says nothing
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -16,11 +16,16 @@ elliptic integral R_F(k1 k2, k1 k3, k2 k3) of the principal values of K
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import elliprf
+import scipy
 
 from .spin_core import (
     DEFAULT_RANK_TOL,
@@ -156,15 +161,57 @@ def averaged_qfi(rho: DensityMatrix) -> float:
     return qfi_quadratic_form(rho).averaged
 
 
+_RF_CAPSULE = "_export_fellint_RF"  # declared in scipy/special/_ufuncs_cxx.pxd
+
+
+def _compiled_rf():
+    """scipy's compiled Carlson R_F, `fellint_RF`, the function the `elliprf` ufunc calls.
+
+    The `_ufuncs_cxx` extension is loaded alone, so scipy.special's
+    `__init__` and its ~280 modules are never imported.  Its Cython C-API
+    capsule holds the address of a `void *` that holds the function's
+    address; that is read once and called through ctypes.
+    """
+    name = "scipy.special._ufuncs_cxx"
+    (path,) = glob.glob(os.path.join(os.path.dirname(scipy.__file__), "special", "_ufuncs_cxx.*.so"))
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    capsule = module.__pyx_capi__[_RF_CAPSULE]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = ctypes.c_void_p.from_address(get_pointer(capsule, get_name(capsule))).value
+    return ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double)(address)
+
+
+def _bind_rf():
+    """`_compiled_rf`, or `scipy.special.elliprf` where the module, capsule or symbol is missing.
+
+    Both call the same compiled function, so both give the same bits.
+    """
+    try:  # the module layout and the capsule name are private to scipy
+        return _compiled_rf()
+    except (ImportError, AttributeError, KeyError, ValueError):
+        from scipy.special import elliprf
+        return elliprf
+
+
+_rf = _bind_rf()
+
+
 def averaged_inverse_qfi_from_form(form: QfiQuadraticForm) -> float:
     """Sphere average of 1/(n^T K n), exactly R_F(k1 k2, k1 k3, k2 k3).
 
-    A singular K makes the integrand non-integrable, so +inf is returned.
+    R_F is scipy's compiled `fellint_RF`, the function behind
+    `scipy.special.elliprf`, bound by `_bind_rf` without importing
+    scipy.special.  A singular K makes the integrand non-integrable, so
+    +inf is returned.
     """
     k1, k2, k3 = form.principal_values()
     if k1 <= 1e-12 * max(k3, 1.0):
         return math.inf
-    return float(elliprf(k1 * k2, k1 * k3, k2 * k3))
+    return float(_rf(k1 * k2, k1 * k3, k2 * k3))
 
 
 def averaged_inverse_qfi(rho: DensityMatrix) -> float:

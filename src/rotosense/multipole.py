@@ -216,7 +216,7 @@ class MultipoleExpansion:
         if self.coefficients:
             L = np.fromiter((idx.L for idx in self.coefficients), int, len(self.coefficients))
             M = np.fromiter((idx.M for idx in self.coefficients), int, len(self.coefficients))
-            present = np.unique(L)
+            present = np.flatnonzero(np.bincount(L))  # np.unique would load numpy.ma
             first = np.zeros(d, dtype=int)  # row of T_L,-L among the stacked sectors present
             first[present] = np.cumsum(2 * present + 1) - (2 * present + 1)
             order = np.argsort(M, kind="stable")

@@ -56,6 +56,23 @@ class TestStartup:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
 
+    def test_import_and_multipole_round_trip_leave_scipy_special_and_numpy_ma_unloaded(self):
+        # metrology binds scipy's compiled R_F without scipy.special's __init__, and
+        # MultipoleExpansion.operator avoids np.unique, which imports numpy.ma
+        code = ("import sys, rotosense, rotosense.cli; "
+                "unloaded = lambda: [m for m in ('scipy.special', 'numpy.ma') if m in sys.modules]; "
+                "print(unloaded()); "
+                "from rotosense.multipole import expand, reconstruct; "
+                "from rotosense.oqr import spin3_oqr_family; "
+                "reconstruct(expand(spin3_oqr_family(0.3))); "
+                "print(unloaded())")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(rio.__file__)),
+                                                          env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["[]", "[]"]
+
 
 class TestStateIo:
     def test_round_trip_kinds(self, tmp_path, rng):
@@ -389,6 +406,18 @@ class TestSearchCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: out of memory: Unable to allocate 1.07 GiB")
+        assert "Traceback" not in err
+
+    def test_bare_out_of_memory_exit_one(self, monkeypatch, capsys):
+        # a bare MemoryError, as a big-int factorial table raises, has no message to show
+        def search_subspace(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "search_subspace", search_subspace)
+        code, out, err = run(capsys, "search", "--j", "100000", "--k", "1", "--t", "1", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: out of memory\n"
         assert "Traceback" not in err
 
 

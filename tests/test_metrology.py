@@ -1,13 +1,19 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
+from scipy.special import elliprf
 
+from rotosense import metrology
 from rotosense.metrology import (
     CrbReport,
+    QfiQuadraticForm,
     averaged_inverse_qfi,
     averaged_inverse_qfi_from_form,
     averaged_qfi,
@@ -328,6 +334,48 @@ class TestAverages:
         ghz = spin32_ghz().density_matrix()
         assert qfi_quadratic_form(ghz).isotropy_gap > 0.1
         assert averaged_inverse_qfi(ghz) > 1 / averaged_qfi(ghz) + 1e-3
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestRfBinding:
+    """`metrology._rf` against `scipy.special.elliprf`: the same compiled function, so the same bits."""
+
+    def test_bits_equal_elliprf_over_18_decades(self):
+        x = 10.0 ** np.random.default_rng(20240611).uniform(-9.0, 9.0, size=(20000, 3))
+        got = [metrology._rf(*row) for row in x.tolist()]
+        assert np.array_equal(_bits(got), _bits(elliprf(x[:, 0], x[:, 1], x[:, 2])))
+
+    def test_averaged_inverse_bits_equal_elliprf(self, rng):
+        for _ in range(200):
+            k = np.sort(10.0 ** rng.uniform(-3.0, 3.0, size=3))
+            got = averaged_inverse_qfi_from_form(QfiQuadraticForm(SpinLabel(2), np.diag(k)))
+            k1, k2, k3 = np.linalg.eigvalsh(np.diag(k))
+            assert _bits(got) == _bits(elliprf(k1 * k2, k1 * k3, k2 * k3))
+
+    def test_missing_capsule_falls_back_to_elliprf(self, monkeypatch):
+        monkeypatch.setattr(metrology, "_RF_CAPSULE", "_export_no_such_function")
+        fallback = metrology._bind_rf()
+        assert fallback is elliprf
+        x = 10.0 ** np.random.default_rng(7).uniform(-9.0, 9.0, size=(500, 3))
+        got = [float(fallback(*row)) for row in x.tolist()]
+        assert np.array_equal(_bits(got), _bits([metrology._rf(*row) for row in x.tolist()]))
+
+    def test_later_scipy_special_import_agrees(self):
+        # a child interpreter, so that scipy.special is first imported after the binding
+        code = ("import sys, rotosense; from rotosense import metrology; "
+                "assert 'scipy.special' not in sys.modules; "
+                "import scipy.special; "
+                "x = [(1.0, 2.0, 3.0), (1e-9, 1e9, 3.5), (2.5e-7, 2.5e-7, 4e8)]; "
+                "print(all(metrology._rf(*r) == float(scipy.special.elliprf(*r)) for r in x))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(metrology.__file__)),
+                                                          env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "True"
 
 
 class TestCrbReport:
