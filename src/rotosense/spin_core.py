@@ -472,26 +472,39 @@ def clebsch_gordan(j1, j2, j, m1, m2, m) -> float:
 
 
 @lru_cache(maxsize=None)
-def embedding_isometry(two_j: int, t: int) -> np.ndarray:
-    """Isometry from the spin-j space into spin-(t/2) (x) spin-(j - t/2).
+def _coupling_table(two_j: int, t: int) -> np.ndarray:
+    """The one coefficient of each product basis state in the stretched coupling, as a (t+1, 2j-t+1) table.
 
-    Row index runs over product-basis pairs (mu, nu) with both factors in
-    descending-m order (nu fastest); column index is the spin-j basis.
-    Columns are the Clebsch-Gordan coupled states, so E^dag E = 1.  The
-    coupling is stretched (j = t/2 + (j - t/2)), where the coefficient has
-    the closed form <t/2 mu; j-t/2 nu | j mu+nu> = sqrt(C(t, ia) C(2j-t, ib)
-    / C(2j, ia+ib)) with ia, ib the descending-m positions of mu and nu: one
-    correctly rounded integer true division and a square root, as in
-    `clebsch_gordan_2`, so the floats are the same.
+    Entry [ia, ib] is <t/2 mu; j-t/2 nu | j mu+nu> for the descending-m
+    positions ia of mu and ib of nu; the coupled state it enters is the
+    spin-j basis state at position ia + ib.  The stretched coupling (j =
+    t/2 + (j - t/2)) has the closed form sqrt(C(t, ia) C(2j-t, ib) / C(2j,
+    ia+ib)): one correctly rounded integer true division and a square root,
+    as in `clebsch_gordan_2`, so the floats are the same.
     """
     if not 1 <= t <= two_j - 1:
         raise ValueError(f"bipartition size t={t} out of range for two_j={two_j}")
-    da, db = t + 1, two_j - t + 1
+    return _readonly(np.array([
+        [math.sqrt(math.comb(t, ia) * math.comb(two_j - t, ib) / math.comb(two_j, ia + ib))
+         for ib in range(two_j - t + 1)]
+        for ia in range(t + 1)
+    ]))
+
+
+@lru_cache(maxsize=None)
+def embedding_isometry(two_j: int, t: int) -> np.ndarray:
+    """Isometry from the spin-j space into spin-(t/2) (x) spin-(j - t/2), as a dense matrix.
+
+    Row index runs over product-basis pairs (mu, nu) with both factors in
+    descending-m order (nu fastest); column index is the spin-j basis.
+    Columns are the Clebsch-Gordan coupled states, so E^dag E = 1.  Each row
+    holds one entry of `_coupling_table`, in column ia + ib.  The library
+    reads that table directly; this dense view is kept for callers and tests.
+    """
+    c = _coupling_table(two_j, t)
+    da, db = c.shape
     e = np.zeros((da * db, two_j + 1))
-    for ia in range(da):
-        for ib in range(db):
-            e[ia * db + ib, ia + ib] = math.sqrt(
-                math.comb(t, ia) * math.comb(two_j - t, ib) / math.comb(two_j, ia + ib))
+    e[np.arange(da * db), np.add.outer(np.arange(da), np.arange(db)).ravel()] = c.ravel()
     return _readonly(e)
 
 

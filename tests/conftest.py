@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, clebsch_gordan_2
+from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, clebsch_gordan_2, embedding_isometry
 
 
 def random_pure(spin: SpinLabel, rng) -> PureState:
@@ -18,6 +18,21 @@ def random_density(spin: SpinLabel, rng, rank=None) -> DensityMatrix:
     x = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = x @ x.conj().T
     return DensityMatrix(spin, m / np.trace(m).real)
+
+
+def signed_zero_densities(spin: SpinLabel, rng) -> list:
+    """States whose zero entries carry a sign: a diagonal state with -0.0 off the diagonal, a basis
+    projector likewise, and a real rank-1 state with some zero amplitudes, whose complex product with -1
+    leaves zeros of both signs in both parts."""
+    d = spin.dimension
+    diagonal, projector = np.full((2, d, d), complex(-0.0, -0.0))
+    diagonal[np.diag_indices(d)] = rng.dirichlet(np.ones(d))
+    projector[np.diag_indices(d)] = 0.0
+    projector[0, 0] = 1.0
+    x = rng.normal(size=d) * (rng.random(d) < 0.5)
+    x[0] = 1.0
+    x /= np.linalg.norm(x)
+    return [DensityMatrix(spin, m) for m in (diagonal, projector, np.outer(x, -x).astype(complex) * -1)]
 
 
 def random_axis(rng) -> np.ndarray:
@@ -78,6 +93,26 @@ def serial_sector(two_j: int, L: int) -> np.ndarray:
     for M in range(1, L + 1):
         out[L - M, M:] = (-1) ** M * out[L + M, :d - M] + 0.0
     return out
+
+
+def dense_embedding(matrices, two_j, t):
+    """Reference embedded operator: E rho E^T with the dense isometry, for one matrix or a (..., d, d) stack."""
+    e = embedding_isometry(two_j, t)
+    return e @ matrices @ e.T
+
+
+def dense_reduced_state(rho: DensityMatrix, t: int) -> np.ndarray:
+    """Reference reduced state: the dense embedding traced over its second factor by einsum."""
+    da, db = t + 1, rho.spin.qubit_count - t + 1
+    return np.einsum("abcb->ac", dense_embedding(rho.matrix, rho.spin.two_j, t).reshape(da, db, da, db))
+
+
+def dense_partial_transpose_spectrum(matrices, bipartition) -> np.ndarray:
+    """Reference partial-transpose spectrum: the dense embedding, transposed on its second factor by einsum."""
+    da, db = bipartition.dims
+    stack = matrices.shape[:-2]
+    big = dense_embedding(matrices, bipartition.n_total, bipartition.t).reshape(*stack, da, db, da, db)
+    return np.linalg.eigvalsh(np.einsum("...abcd->...adcb", big).reshape(*stack, da * db, da * db))
 
 
 @pytest.fixture

@@ -19,8 +19,8 @@ from rotosense.anticoherence import (
 from rotosense.multipole import MultipoleIndex, multipole_operator
 from rotosense.oqr import spin32_ghz, spin3_oqr_family
 from rotosense.spin_core import DensityMatrix, PureState, SpinLabel
-from rotosense.subspaces import catalog
-from conftest import random_density
+from rotosense.subspaces import catalog, construct_one_ac_family, construct_two_ac_family
+from conftest import dense_reduced_state, random_density, signed_zero_densities
 
 
 def equal_mixture(frame):
@@ -61,6 +61,36 @@ class TestReducedState:
             reduced_state(rho, 0)
         with pytest.raises(ValueError):
             reduced_state(rho, 4)
+
+
+def reduced_bytes_match(rho):
+    for t in range(1, rho.spin.two_j):
+        assert reduced_state(rho, t).matrix.tobytes() == dense_reduced_state(rho, t).tobytes(), (rho.spin, t)
+
+
+class TestReducedStateMatchesTheDenseEmbedding:
+    """The gather of the reduced state has the bytes of the einsum trace of E rho E^T."""
+
+    @pytest.mark.parametrize("two_j", list(range(2, 41)))
+    def test_random_and_basis_states(self, two_j, rng):
+        s = SpinLabel(two_j)
+        states = [random_density(s, rng), random_density(s, rng, rank=1), random_density(s, rng, rank=2)]
+        states += [PureState.basis_state(s, two_j - 2 * i).density_matrix() for i in range(0, two_j + 1, 3)]
+        for rho in states + signed_zero_densities(s, rng):
+            reduced_bytes_match(rho)
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_catalog_frames(self, name, rng):
+        frame = catalog()[name].frame
+        reduced_bytes_match(equal_mixture(frame))
+        reduced_bytes_match(DensityMatrix.from_mixture(rng.dirichlet(np.ones(frame.k)), frame.basis))
+        reduced_bytes_match(frame.basis[0].density_matrix())
+
+    @pytest.mark.parametrize("build, least_two_j", [(construct_one_ac_family, 2), (construct_two_ac_family, 10)])
+    def test_family_mixtures(self, build, least_two_j, rng):
+        for two_j in range(least_two_j, 41):
+            frame = build(SpinLabel(two_j))
+            reduced_bytes_match(DensityMatrix.from_mixture(rng.dirichlet(np.ones(frame.k)), frame.basis))
 
 
 class TestMeasure:

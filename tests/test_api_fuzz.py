@@ -42,7 +42,7 @@ from rotosense.metrology import qfi_from_moments
 from rotosense import multipole
 from rotosense.multipole import multipole_operator, multipole_stack
 from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
-from rotosense.spin_core import embedding_isometry
+from rotosense import spin_core
 from rotosense.subspaces import spin2_plane
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150,
@@ -232,7 +232,8 @@ def test_integer_arguments_are_checked_whatever_the_cache_holds(name):
     call, n = INTEGER_ARGUMENTS[name]
     multipole_stack.cache_clear()
     multipole._band.cache_clear()
-    embedding_isometry.cache_clear()
+    spin_core.embedding_isometry.cache_clear()
+    spin_core._coupling_table.cache_clear()
     for bad in (1.5, True, float(n)):
         with pytest.raises(ValueError, match="must be an integer"):
             call(bad)

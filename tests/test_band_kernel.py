@@ -1,16 +1,22 @@
 """The band kernel of `rotosense.multipole` gives the numbers of the dense T_LM formulas, and no
-library path builds the dense stack."""
+library path builds the dense stack or the dense embedding isometry."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rotosense
 from rotosense import subspaces
-from rotosense.anticoherence import is_anticoherent
+from rotosense.anticoherence import anticoherence_report, is_anticoherent
+from rotosense.entanglement import Bipartition, negativity, protected_negativity_suite, schmidt_spectrum
 from rotosense.multipole import adjoint_products, multipole_expectations, multipole_products, multipole_stack
 from rotosense.oqr import certify, spin2_family
-from rotosense.spin_core import DensityMatrix, SpinLabel
+from rotosense.spin_core import DensityMatrix, SpinLabel, embedding_isometry
 from rotosense.subspaces import SearchConfig, catalog, objective_g_t, search_subspace, verify_subspace
-from conftest import random_density, serial_objective_and_gradient, serial_residual_and_jacobian
+from conftest import random_density, random_pure, serial_objective_and_gradient, serial_residual_and_jacobian
 
 
 def frames(two_j, k, restarts, seed):
@@ -106,3 +112,35 @@ def test_no_library_path_builds_a_dense_stack():
     certify(spin2_family(0.5))
     is_anticoherent(random_density(SpinLabel(80), np.random.default_rng(20240055)), 3)
     assert multipole_stack.cache_info().currsize == 0
+
+
+def test_no_library_path_builds_a_dense_isometry():
+    embedding_isometry.cache_clear()
+    rng = np.random.default_rng(20240056)
+    anticoherence_report(random_density(SpinLabel(12), rng))
+    rho = random_density(SpinLabel(9), rng, rank=2)
+    for t in range(1, 9):
+        negativity(rho, Bipartition(t, 9))
+    entry = catalog()["(7/2,2,2)"]
+    protected_negativity_suite(entry.frame, entry.order_t)
+    schmidt_spectrum(random_pure(SpinLabel(8), rng), Bipartition(3, 8))
+    assert embedding_isometry.cache_info().currsize == 0
+
+
+def test_full_rank_report_at_two_j_80_stays_small():
+    # a child interpreter, so that the peak resident size is this report's own; the dense
+    # embedding E rho E^T of every split raised it by about 83 MB
+    code = ("import resource, numpy as np; "
+            "from rotosense.spin_core import DensityMatrix, SpinLabel; "
+            "from rotosense.anticoherence import anticoherence_report; "
+            "x = np.random.default_rng(20240057).normal(size=(81, 162)).view(complex); "
+            "m = x @ x.conj().T; rho = DensityMatrix(SpinLabel(80), m / np.trace(m).real); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "anticoherence_report(rho); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(rotosense.__file__)),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 16 * 1024  # ru_maxrss is in KiB on Linux

@@ -20,10 +20,19 @@ from rotosense.spin_core import (
     DensityMatrix,
     PureState,
     SpinLabel,
+    embedding_isometry,
     rotation_operator,
 )
 from rotosense.subspaces import catalog, spin2_plane, spin3_one_ac_triple
-from conftest import random_axis, random_density, random_pure, serial_protected_negativity_suite
+from conftest import (
+    dense_embedding,
+    dense_partial_transpose_spectrum,
+    random_axis,
+    random_density,
+    random_pure,
+    serial_protected_negativity_suite,
+    signed_zero_densities,
+)
 
 
 class TestEmbedding:
@@ -77,6 +86,74 @@ class TestEmbedding:
             Bipartition(0, 4)
         with pytest.raises(ValueError):
             embed_bipartite(PureState.basis_state(SpinLabel(4), 4), Bipartition(1, 6))
+
+
+def catalog_mixtures(rng, count):
+    """(name, `count` Dirichlet mixtures over the frame) for each catalog frame."""
+    for name, entry in sorted(catalog().items()):
+        frame = entry.frame
+        yield name, [DensityMatrix.from_mixture(rng.dirichlet(np.ones(frame.k)), frame.basis) for _ in range(count)]
+
+
+def sample_states(two_j, rng):
+    s = SpinLabel(two_j)
+    return [random_density(s, rng), random_density(s, rng, rank=1), random_density(s, rng, rank=2),
+            PureState.basis_state(s, two_j).density_matrix(), PureState.basis_state(s, two_j % 2).density_matrix(),
+            *signed_zero_densities(s, rng)]
+
+
+class TestGatherMatchesTheDenseEmbedding:
+    """The coupling-table gathers give the numbers of the dense products with `embedding_isometry`."""
+
+    @pytest.mark.parametrize("two_j", list(range(2, 41)))
+    def test_pure_embedding_has_the_bytes_of_the_isometry_product(self, two_j, rng):
+        s = SpinLabel(two_j)
+        states = [random_pure(s, rng) for _ in range(3)] + [PureState.basis_state(s, two_j - 2 * i)
+                                                             for i in range(two_j + 1)]
+        for psi in states:
+            for t in range(1, two_j):
+                got = embed_bipartite(psi, Bipartition(t, two_j))
+                assert got.tobytes() == (embedding_isometry(two_j, t) @ psi.amplitudes).tobytes(), t
+
+    @pytest.mark.parametrize("two_j", list(range(2, 21)))
+    def test_negativity_spectrum_has_the_bytes_of_the_dense_partial_transpose(self, two_j, rng):
+        for rho in sample_states(two_j, rng):
+            for t in range(1, two_j):
+                bip = Bipartition(t, two_j)
+                assert (negativity(rho, bip).spectrum.tobytes()
+                        == dense_partial_transpose_spectrum(rho.matrix, bip).tobytes()), t
+
+    def test_catalog_spectra_have_the_dense_bytes_one_by_one_and_stacked(self, rng):
+        for name, states in catalog_mixtures(rng, 20):
+            stack = np.stack([rho.matrix for rho in states])
+            spin = states[0].spin
+            for t in range(1, spin.two_j):
+                bip = Bipartition.of(spin, t)
+                want = dense_partial_transpose_spectrum(stack, bip)
+                assert _partial_transpose_spectrum(stack, bip).tobytes() == want.tobytes(), (name, t)
+                assert negativity(states[0], bip).spectrum.tobytes() == want[0].tobytes(), (name, t)
+
+    @pytest.mark.parametrize("two_j, t", [(3, 1), (8, 3), (16, 8), (24, 5)])
+    def test_random_stack_spectra_have_the_dense_bytes(self, two_j, t, rng):
+        s = SpinLabel(two_j)
+        stack = np.stack([random_density(s, rng, rank=1 + i % 3).matrix for i in range(20)])
+        bip = Bipartition(t, two_j)
+        assert (_partial_transpose_spectrum(stack, bip).tobytes()
+                == dense_partial_transpose_spectrum(stack, bip).tobytes())
+
+    def test_mixed_embedding_differs_from_the_dense_product_only_in_the_sign_of_zeros(self, rng):
+        # the GEMM of E rho E^T may write -0.0 where rho holds an exact 0; the gather writes +0.0 there,
+        # and so does the partial transpose, whose spectrum the sign of a zero can move
+        states = [rho for two_j in range(2, 17) for rho in sample_states(two_j, rng)]
+        states += [rho for _, mixtures in catalog_mixtures(rng, 2) for rho in mixtures]
+        for rho in states:
+            for t in range(1, rho.spin.two_j):
+                got = embed_bipartite(rho, Bipartition(t, rho.spin.two_j))
+                want = dense_embedding(rho.matrix, rho.spin.two_j, t)
+                assert np.array_equal(got, want)
+                differ = got.view(np.int64) != want.view(np.int64)
+                assert (got.view(float)[differ] == 0.0).all()
+                assert not np.signbit(got.view(float)[got.view(float) == 0.0]).any()
 
 
 class TestNegativity:

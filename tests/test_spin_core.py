@@ -16,6 +16,7 @@ from rotosense.spin_core import (
     component_along,
     direction,
     eigen_mixture,
+    _coupling_table,
     embedding_isometry,
     rotation_operator,
     rotation_operator_euler,
@@ -390,6 +391,17 @@ class TestClosedFormEmbedding:
         for t in (0, 4):
             with pytest.raises(ValueError, match="out of range"):
                 embedding_isometry(4, t)
+            with pytest.raises(ValueError, match="out of range"):
+                _coupling_table(4, t)
+
+    def test_coupling_table_holds_the_nonzero_of_each_isometry_row(self):
+        for two_j, t in ((2, 1), (7, 3), (40, 1), (40, 20)):
+            c = _coupling_table(two_j, t)
+            e = embedding_isometry(two_j, t)
+            assert not c.flags.writeable
+            assert c.tobytes() == e.max(axis=1).tobytes()
+            assert (np.count_nonzero(e, axis=1) == 1).all()
+            assert (e.argmax(axis=1) == np.add.outer(np.arange(t + 1), np.arange(two_j - t + 1)).ravel()).all()
 
 
 class TestEigenMixture:
