@@ -110,10 +110,16 @@ def qfi_from_moments(rho: DensityMatrix, axis) -> float:
 
 @dataclass(frozen=True)
 class QfiQuadraticForm:
-    """Real symmetric K with I(n, rho) = n^T K n for every unit n."""
+    """Real symmetric K with I(n, rho) = n^T K n for every unit n.
+
+    The eigenvalues of K are taken once, on the stored (symmetrized) K: they
+    serve the positive-semidefinite check, `isotropy_gap` and the averaged
+    inverse QFI.
+    """
 
     spin: SpinLabel
     matrix: np.ndarray = field(repr=False)
+    _principal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.matrix, dtype=float)
@@ -121,16 +127,20 @@ class QfiQuadraticForm:
             raise ValueError("K must be 3x3")
         if np.abs(k - k.T).max() > 1e-12:
             raise ValueError("K must be symmetric")
-        if np.linalg.eigvalsh(k)[0] < -1e-10:
+        k = _readonly((k + k.T).copy() / 2)
+        lam = _readonly(np.linalg.eigvalsh(k))
+        if lam[0] < -1e-10:
             raise ValueError("K must be positive semidefinite")
-        object.__setattr__(self, "matrix", _readonly((k + k.T).copy() / 2))
+        object.__setattr__(self, "matrix", k)
+        object.__setattr__(self, "_principal", lam)
 
     def evaluate(self, axis) -> float:
         ax = unit_axis(axis)
         return float(ax @ self.matrix @ ax)
 
     def principal_values(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """The eigenvalues of K, ascending; one read-only array per form."""
+        return self._principal
 
     @property
     def isotropy_gap(self) -> float:

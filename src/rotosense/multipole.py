@@ -147,7 +147,7 @@ def multipole_products(psi: np.ndarray, t: int) -> np.ndarray:
     """psi T_a for a (..., k, 2j+1) frame stack psi, 1 <= L <= t, (L, M) ascending: one gather of psi times
     one row of values per T_a, C-contiguous (..., k, A, 2j+1), the numbers of psi @ [T_1 ... T_A]."""
     columns, values, _ = _band(psi.shape[-1] - 1, t)
-    return np.take(psi, columns, axis=-1) * values
+    return psi.take(columns, axis=-1) * values
 
 
 def adjoint_products(products: np.ndarray, t: int) -> np.ndarray:

@@ -14,12 +14,15 @@ then damped Gauss-Newton (Levenberg-Marquardt) steps on the block residual,
 which converge where first-order steps crawl toward a zero.  A restart whose
 first-order steps settle at a positive stationary point stops there.  Each
 restart is one coroutine; all pending trials of a search are evaluated
-together by stacked kernels, each exactly as it would be alone; a trial
-that repeats its restart's last one bit for bit is not scored again.  Every
-trial is a step request (psi, direction, step): `_descend` forms all of a
-round's steps in one stack, and its reply carries the two sums of the next
-Barzilai-Borwein step.  The QR retraction calls LAPACK's QR gufuncs
-directly, with np.linalg.qr as the fallback where numpy lacks them.
+together, each exactly as it would be alone; a trial that repeats its
+restart's last one bit for bit is not scored again.  Every trial is a step
+request (psi, direction, step): `_descend` forms all of a round's steps in
+one stack, and one kernel, `_retract_and_score`, retracts and scores them
+and forms the two sums of the next Barzilai-Borwein step; its scoring half,
+`_score`, also scores the start frames.  The QR retraction calls LAPACK's
+QR gufuncs directly, with np.linalg.qr as the fallback where numpy lacks
+them, and both Levenberg-Marquardt loops call LAPACK's solve gufunc
+directly, with np.linalg.solve as the fallback.
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ def _lapack_qr(a: np.ndarray):
     whose in-place result would land in a discarded cast buffer.
     """
     tau = _qr_r_raw(a, signature="D->D", casting="no")
-    return _qr_reduced(a, tau, signature="DD->D"), np.diagonal(a, axis1=-2, axis2=-1)
+    return _qr_reduced(a, tau, signature="DD->D"), a.diagonal(0, -2, -1)
 
 
 def _linalg_qr(a: np.ndarray):
@@ -193,39 +196,98 @@ except ImportError:
     _qr = _linalg_qr
 
 
-def _orthonormalize_rows(psi: np.ndarray) -> np.ndarray:
-    """QR retraction of the rows of a complex frame, or of each frame in a (..., k, d) stack.
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, for a real square `a` and vector `b`: the LAPACK gufunc behind `np.linalg.solve`.
+
+    Called as `np.linalg.solve` calls it, under the same error state (the
+    gufunc's invalid flag marks a singular system and raises
+    np.linalg.LinAlgError; the rest is silent), but without its conversions
+    and checks, so it gives the same bits.
+    """
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _solve1(a, b, signature="dd->d")
+
+
+try:  # private to numpy, so np.linalg.solve serves where the gufunc is missing
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+    _solve = _lapack_solve
+except ImportError:
+    _solve = np.linalg.solve
+
+
+def _adjoint_retraction(psi: np.ndarray) -> np.ndarray:
+    """psi'^dag, (..., d, k), for the QR retraction psi' of the rows of a complex frame or (..., k, d) stack.
 
     `psi.conj()` is a fresh array, so it is factored in place, in its
     transposed (column-major per frame) layout: LAPACK reads that layout
-    without a transposing copy.  The result holds each frame column-major.
+    without a transposing copy.  Q is phased in place to the sign
+    convention of a positive R diagonal; it holds psi'^dag row-major, so
+    psi' = Q.conj().swapaxes(-1, -2) holds each frame column-major.
     """
     q, diagonal = _qr(psi.conj().swapaxes(-1, -2))
-    phases = np.sign(diagonal.real + 1e-300)
-    return (q * phases[..., None, :]).conj().swapaxes(-1, -2)
+    q *= np.sign(diagonal.real + 1e-300)[..., None, :]
+    return q
 
 
-def _trace_objective_and_gradient(psi: np.ndarray, t: int):
-    """sum_a ||psi T_a psi^dag||_F^2, 1 <= L <= t, and its conjugate-Wirtinger gradient, per frame of a stack.
+def _orthonormalize_rows(psi: np.ndarray) -> np.ndarray:
+    """QR retraction of the rows of a complex frame, or of each frame in a (..., k, d) stack."""
+    return _adjoint_retraction(psi).conj().swapaxes(-1, -2)
 
-    pt holds the rows (psi T_a)[l], ordered (l, a), from `multipole_products`;
-    two GEMMs per frame follow: b = pt psi^dag holds every block
-    B_a = psi T_a psi^dag; the gradient sum_a (B_a^dag psi T_a + B_a psi T_a^dag)
-    is 2 b^dag pt.  Its second term equals the first because the stack holds
+
+def _sum_squares(z: np.ndarray) -> np.ndarray:
+    """sum |z|^2 over the last two axes, in the order np.sum takes it."""
+    z = np.abs(z)
+    z *= z
+    return np.add.reduce(z, axis=(-2, -1))
+
+
+def _score(psi: np.ndarray, psi_h: np.ndarray, t: int):
+    """Trace objective, tangent gradient and its squared norm per frame of the (R, k, d) stack psi, psi_h = psi^dag.
+
+    The objective is sum_a ||psi T_a psi^dag||_F^2, 1 <= L <= t.  pt holds
+    the rows (psi T_a)[l], ordered (l, a), from `multipole_products`; b =
+    pt psi^dag holds every block B_a = psi T_a psi^dag.  The
+    conjugate-Wirtinger gradient sum_a (B_a^dag psi T_a + B_a psi T_a^dag)
+    is 2 b^dag pt: its second term equals the first because the stack holds
     every M of each L and T_{L,-M} = (-1)^M T_{LM}^dag, so that
-    sum_a B_a psi T_a^dag = sum_a B_a^dag psi T_a.
+    sum_a B_a psi T_a^dag = sum_a B_a^dag psi T_a.  Its part tangent to the
+    orthonormal k-frames is g - sym(g psi^dag) psi.  Both products with
+    psi^dag read psi_h, and the temporaries are updated in place.
     """
     pt = multipole_products(psi, t).reshape(*psi.shape[:-2], -1, psi.shape[-1])
-    b = pt @ psi.conj().swapaxes(-1, -2)
-    value = np.sum(np.abs(b) ** 2, axis=(-2, -1))
-    grad = 2 * (b.conj().swapaxes(-1, -2) @ pt)
-    return value, grad
+    b = pt @ psi_h
+    f = _sum_squares(b)
+    g = b.conj().swapaxes(-1, -2) @ pt
+    g *= 2
+    s = g @ psi_h
+    s += s.conj().swapaxes(-1, -2)
+    s *= 0.5
+    g -= s @ psi
+    return f, g, _sum_squares(g)
 
 
-def _tangent(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g - sym(g psi^dag) psi: the part of g tangent to the orthonormal k-frames."""
-    s = g @ psi.conj().swapaxes(-1, -2)
-    return g - 0.5 * (s + s.conj().swapaxes(-1, -2)) @ psi
+def _retract_and_score(trials: np.ndarray, base: np.ndarray, grad: np.ndarray, t: int):
+    """Retract and `_score` the (n, k, d) trials; returns (frames, f, g, gn2, num, den), the scalars as lists.
+
+    num = sum |dpsi|^2 and den = |sum Re(conj(dpsi) dg)| are the
+    Barzilai-Borwein sums of each trial against its request, dpsi and dg
+    the changes of frame and gradient from the transposed base (n, d, k)
+    and the direction grad.  Each frame is summed in the layout a restart
+    holds it: dpsi column-major, as the retraction leaves a frame, and the
+    gradients and their products row-major.
+    """
+    psi_h = _adjoint_retraction(trials)
+    psi = psi_h.conj().swapaxes(-1, -2)
+    f, g, gn2 = _score(psi, psi_h, t)
+    dpsi = psi.swapaxes(1, 2) - base
+    dg = g - grad
+    dg *= dpsi.swapaxes(1, 2).conj()
+    den = np.abs(np.add.reduce(dg.real, axis=(1, 2)))
+    return psi, f.tolist(), g, gn2.tolist(), _sum_squares(dpsi).tolist(), den.tolist()
 
 
 def _residual_and_jacobian(psi: np.ndarray, t: int):
@@ -317,12 +379,11 @@ def _restart(psi, f, g, gn2, t, gate):
             residual, jac = _residual_and_jacobian(psi, t)
             normal = jac.T @ jac
             rhs = -(jac.T @ residual)
-            diag = np.diag_indices_from(normal)
             for _reject in range(LM_MAX_REJECTIONS):
                 system = normal.copy()
-                system[diag] += damping * f
+                system.reshape(-1)[:: len(system) + 1] += damping * f
                 try:
-                    x = np.linalg.solve(system, rhs).reshape(2, *psi.shape)
+                    x = _solve(system, rhs).reshape(2, *psi.shape)
                 except np.linalg.LinAlgError:  # damping * f too small to lift the null space
                     damping *= LM_DAMPING_GROWTH
                     continue
@@ -361,28 +422,22 @@ def _restart(psi, f, g, gn2, t, gate):
     return psi, f, iterations, reason, evaluations
 
 
-def _evaluate(psi, t):
-    """Objective at order t, tangent gradient and its squared norm for each frame of an (R, k, d) stack."""
-    f, g = _trace_objective_and_gradient(psi, t)
-    g = _tangent(psi, g)
-    return f.tolist(), g, np.sum(np.abs(g) ** 2, axis=(1, 2)).tolist()
-
-
 def _descend(psi, t, gate):
     """Run one `_restart` at order t per frame of the (R, k, d) stack `psi`, evaluating their trials together.
 
     In each round every restart that has not stopped yields one step
     request (psi, direction, step).  One stacked base - steps * directions
-    forms every trial, one stacked QR retracts them and one batched
-    `_evaluate` scores them.
-    The stacked kernels sum each frame in the order they sum it alone, so
-    each restart's floats are bit for bit those it computes alone.  The
+    forms every trial, and one `_retract_and_score` call retracts them,
+    scores them and forms their Barzilai-Borwein products; the start frames
+    are scored by its scoring half, `_score`.
+    The kernel sums each frame in the order it sums it alone, so each
+    restart's floats are bit for bit those it computes alone.  The
     Barzilai-Borwein products of the requests are summed over the stack
     with each frame in the layout a restart holds it, column-major for
-    frames (each comes from `_orthonormalize_rows`, the start frames
-    included) and row-major for gradients and for their products, and so
-    in the order a sum over one frame takes; they are bit for bit those of
-    the restart-local formula.
+    frames (each comes from the QR retraction, the start frames included)
+    and row-major for gradients and for their products, and so in the
+    order a sum over one frame takes; they are bit for bit those of the
+    restart-local formula.
 
     A reply thus depends only on the bytes of the trial and, for its
     products, on the request's base psi and direction.  Each restart's last
@@ -397,7 +452,8 @@ def _descend(psi, t, gate):
     Returns (psi, f, iterations, reasons, evaluations), one entry per
     restart.
     """
-    restarts = [_restart(*start, t, gate) for start in zip(psi, *_evaluate(psi, t))]
+    f, g, gn2 = _score(psi, psi.conj().swapaxes(-1, -2), t)
+    restarts = [_restart(*start, t, gate) for start in zip(psi, f.tolist(), g, gn2.tolist())]
     results = [None] * len(restarts)
     # live restart -> (bytes of its last trial, the reply to it); None primes the coroutine
     last = dict.fromkeys(range(len(restarts)), (None, None))
@@ -422,15 +478,11 @@ def _descend(psi, t, gate):
             continue
         if len(keep) < len(rows):
             trials, base, grad = trials[keep], base[keep], grad[keep]
-        q = _orthonormalize_rows(trials)
-        f, g, gn2 = _evaluate(q, t)
-        dpsi = q.swapaxes(1, 2) - base  # transposed, so each frame is summed column-major
-        num = (np.abs(dpsi) ** 2).sum(axis=(1, 2))
-        den = np.abs((dpsi.swapaxes(1, 2).conj() * (g - grad)).real.sum(axis=(1, 2)))
-        for i, reply in zip(keep, zip(q, f, g, gn2, zip(num.tolist(), den.tolist()))):
+        q, f, g, gn2, num, den = _retract_and_score(trials, base, grad, t)
+        for i, reply in zip(keep, zip(q, f, g, gn2, zip(num, den))):
             last[rows[i]] = keys[i], reply
     frames, f, iterations, reasons, evaluations = map(list, zip(*results))
-    # stacked so that each frame keeps the memory layout _orthonormalize_rows gives it
+    # stacked so that each frame keeps the memory layout the QR retraction gives it
     return np.array([p.T for p in frames]).swapaxes(1, 2), f, iterations, reasons, evaluations
 
 
@@ -668,7 +720,7 @@ def _levenberg_marquardt(residual, jacobian, x):
         scale = np.diag(np.where(scale > 0.0, scale, 1.0))  # a column of zeros gets scale 1
         while evaluations < TURN_FIT_EVALUATIONS:
             try:
-                dx = np.linalg.solve(normal + damping * scale, rhs)
+                dx = _solve(normal + damping * scale, rhs)
             except np.linalg.LinAlgError:
                 damping *= LM_DAMPING_GROWTH
                 continue

@@ -16,7 +16,7 @@ from rotosense.multipole import adjoint_products, multipole_expectations, multip
 from rotosense.oqr import certify, spin2_family
 from rotosense.spin_core import DensityMatrix, SpinLabel, embedding_isometry
 from rotosense.subspaces import SearchConfig, catalog, objective_g_t, search_subspace, verify_subspace
-from conftest import random_density, random_pure, serial_objective_and_gradient, serial_residual_and_jacobian
+from conftest import random_density, random_pure, serial_objective_and_gradient, serial_residual_and_jacobian, serial_tangent
 
 
 def frames(two_j, k, restarts, seed):
@@ -60,12 +60,14 @@ class TestProductsMatchTheDenseProduct:
         psi = frames(two_j, k, restarts, 20240052 + two_j)
         pt = (psi @ ts.transpose(1, 0, 2).reshape(d, -1)).reshape(restarts, -1, d)
         b = pt @ psi.conj().swapaxes(-1, -2)
-        value, grad = subspaces._trace_objective_and_gradient(psi, t)
+        value, tangent, _ = subspaces._score(psi, psi.conj().swapaxes(-1, -2), t)
+        grad = 2 * (b.conj().swapaxes(-1, -2) @ pt)
         assert value.tobytes() == np.sum(np.abs(b) ** 2, axis=(-2, -1)).tobytes()
-        assert grad.tobytes() == (2 * (b.conj().swapaxes(-1, -2) @ pt)).tobytes()
+        assert tangent.tobytes() == np.array([serial_tangent(p, g) for p, g in zip(psi, grad)]).tobytes()
         for r in range(restarts):
             want_value, want_grad = serial_objective_and_gradient(psi[r], ts)
             assert float(value[r]) == want_value and grad[r].tobytes() == want_grad.tobytes()
+            assert tangent[r].tobytes() == serial_tangent(psi[r], want_grad).tobytes()
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 7, 10, 16, 25, 40])
     def test_normal_equations_have_the_bytes_of_the_serial_oracle(self, two_j):

@@ -209,6 +209,34 @@ class TestQuadraticForm:
         assert np.abs(form.matrix).max() < 1e-12
         assert form.isotropy_gap == 0.0
 
+    def test_principal_values_are_taken_once_per_form(self, rng, monkeypatch):
+        # isotropy_gap and the averaged inverse QFI read one array, with the
+        # bits of eigvalsh on the stored K, and neither takes eigvalsh again
+        from rotosense.oqr import certify
+
+        eigvalsh = np.linalg.eigvalsh
+        rhos = [random_density(SpinLabel(two_j), rng, rank=r) for two_j, r in ((2, 2), (5, 4), (9, None))]
+        rhos += [spin2_family(0.7), spin3_oqr_family(0.2)]
+        forms = [qfi_quadratic_form(rho) for rho in rhos]
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for form in forms:
+            lam = form.principal_values()
+            assert lam is form.principal_values() and not lam.flags.writeable
+            assert lam.tobytes() == eigvalsh(form.matrix).tobytes()
+            lo, hi = lam[0], lam[2]
+            assert form.isotropy_gap == (0.0 if hi <= 0.0 else float((hi - lo) / hi))
+            averaged_inverse_qfi_from_form(form)
+        assert calls == []
+        for rho in rhos:
+            certify(rho)
+        assert calls.count((3, 3)) == len(rhos)
+
 
 class TestAverages:
     def test_two_ac_pure_reaches_ceiling(self):

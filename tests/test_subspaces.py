@@ -258,14 +258,18 @@ def seeded_starts(two_j, k, seed, restarts):
     return subspaces._orthonormalize_rows(np.stack(starts))
 
 
+def score(psi, t):
+    """`subspaces._score` of a frame or an (R, k, d) stack, as `_descend` scores its start frames."""
+    return subspaces._score(psi, psi.conj().swapaxes(-1, -2), t)
+
+
 class TestDescentEngine:
     @pytest.mark.parametrize("two_j, k, t", [(10, 2, 2), (9, 4, 1)])
     def test_jacobian_matches_finite_differences(self, rng, two_j, k, t):
         psi = random_frame(SpinLabel(two_j), k, rng).matrix()
         residual, jac = subspaces._residual_and_jacobian(psi, t)
         assert jac.shape == (residual.size, 2 * k * (two_j + 1))
-        assert float(residual @ residual) == pytest.approx(
-            subspaces._trace_objective_and_gradient(psi, t)[0], rel=1e-12)
+        assert float(residual @ residual) == pytest.approx(score(psi, t)[0], rel=1e-12)
         h = 1e-6
         for _ in range(6):
             x = rng.normal(size=jac.shape[1])
@@ -277,11 +281,10 @@ class TestDescentEngine:
 
     def test_tangent_projection(self, rng):
         psi = random_frame(SpinLabel(9), 3, rng).matrix()
-        g = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
-        xi = subspaces._tangent(psi, g)
+        xi = score(psi[None], 2)[1][0]
         s = xi @ psi.conj().T
         assert np.abs(s + s.conj().T).max() < 1e-13
-        assert np.abs(subspaces._tangent(psi, xi) - xi).max() < 1e-13
+        assert np.abs(serial_tangent(psi, xi) - xi).max() < 1e-13
 
     def test_crawl_cell_converges(self):
         # (5,2,2) at this seed: first-order descent left 5 of 16 restarts
@@ -296,14 +299,14 @@ class TestDescentEngine:
         (psi,), (f0,), _, _, _ = subspaces._descend(seeded_starts(10, 2, 20240004, 2)[1:], 2, LM_ENTRY)
         assert f0 <= LM_ENTRY
         trials = []
-        evaluate = subspaces._trace_objective_and_gradient
+        evaluate = subspaces._score
 
-        def recording(p, t):
-            value, grad = evaluate(p, t)
+        def recording(p, p_h, t):
+            value, grad, gn2 = evaluate(p, p_h, t)
             trials.append(value)
-            return value, grad
+            return value, grad, gn2
 
-        monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
+        monkeypatch.setattr(subspaces, "_score", recording)
         monkeypatch.setattr(subspaces, "MAX_ITERATIONS", 1)
         _, (f1,), (iterations,), (reason,), (evaluations,) = subspaces._descend(psi[None], 2, 0.0)
         assert (iterations, reason) == (1, "iteration_cap")
@@ -340,16 +343,19 @@ class TestLockstepBatch:
     def test_singular_solves_match_serial_oracle(self, monkeypatch):
         # declare singular every LM system whose first entry, read as a 64-bit
         # integer, is divisible by 3, so that both engines meet the same ones
-        solve = np.linalg.solve
         singular_calls = []
 
-        def solve_or_fail(a, b):
-            if np.any(np.asarray(a[..., 0, 0]).view(np.int64) % 3 == 0):
-                singular_calls.append(a.ndim)
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
+        def failing(solve):
+            def solve_or_fail(a, b):
+                if np.any(np.asarray(a[..., 0, 0]).view(np.int64) % 3 == 0):
+                    singular_calls.append(a.ndim)
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(a, b)
+            return solve_or_fail
 
-        monkeypatch.setattr(np.linalg, "solve", solve_or_fail)
+        # the serial oracle calls np.linalg.solve, the driver its own binding
+        monkeypatch.setattr(np.linalg, "solve", failing(np.linalg.solve))
+        monkeypatch.setattr(subspaces, "_solve", failing(subspaces._solve))
         config = SearchConfig(seed=20240004, restarts=16)
         records, frame_matrix, objective = serial_search(SpinLabel(10), 2, 2, config)
         serial_calls = len(singular_calls)
@@ -366,13 +372,13 @@ class TestLockstepBatch:
     def test_driver_evaluates_all_pending_trials_together(self, monkeypatch, two_j, k, t, seed):
         psi = seeded_starts(two_j, k, seed, 16)
         frames = []
-        evaluate = subspaces._trace_objective_and_gradient
+        evaluate = subspaces._score
 
-        def recording(p, t):
+        def recording(p, p_h, t):
             frames.append(p.shape[0])
-            return evaluate(p, t)
+            return evaluate(p, p_h, t)
 
-        monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
+        monkeypatch.setattr(subspaces, "_score", recording)
         evaluations = subspaces._descend(psi, t, subspaces.DESCENT_GATE)[4]
         # one call for the start frames, then one per round over every pending trial
         assert frames[0] == 16
@@ -397,13 +403,13 @@ class TestRepeatedTrials:
     def recording_scorer(monkeypatch):
         """Patch the objective kernel to record every frame it scores; returns the list of those frames."""
         scored = []
-        evaluate = subspaces._trace_objective_and_gradient
+        evaluate = subspaces._score
 
-        def recording(p, t):
+        def recording(p, p_h, t):
             scored.extend(p.copy())
-            return evaluate(p, t)
+            return evaluate(p, p_h, t)
 
-        monkeypatch.setattr(subspaces, "_trace_objective_and_gradient", recording)
+        monkeypatch.setattr(subspaces, "_score", recording)
         return scored
 
     def test_hit_polish_scores_few_frames(self, monkeypatch):
@@ -628,6 +634,162 @@ class TestQrRetraction:
         assert module._orthonormalize_rows(psi).tobytes() == subspaces._orthonormalize_rows(psi).tobytes()
 
 
+def signed_zero_stack(two_j, k, restarts, seed):
+    """(restarts, k, d) complex frames, about 40% of whose parts are zeros of either sign; the first two
+    frames are sparse catalog-like rows negated, whose zero imaginary parts become -0.0."""
+    rng = np.random.default_rng(seed)
+    d = two_j + 1
+    x = rng.normal(size=(restarts, k, d, 2))
+    x[rng.random(x.shape) < 0.4] = 0.0
+    x[rng.random(x.shape) < 0.5] *= -1.0
+    x[..., 0, 0] = 1.0  # no all-zero row
+    x = x.view(complex)[..., 0]
+    for r in range(min(2, restarts)):
+        x[r] = -np.where(rng.random((k, d)) < 0.5, 0.0, rng.normal(size=(k, d)) + 0j)
+        x[r, :, 0] = -1.0
+    return x
+
+
+def unfused_round(trials, base, grad, ts):
+    """The round as `_descend` formed it from unfused kernels: each trial retracted, scored and projected by
+    the serial oracles, held as a stack of column-major frames, then the Barzilai-Borwein sums over it."""
+    q = np.array([serial_orthonormalize_rows(x).T for x in trials]).swapaxes(1, 2)
+    scored = [serial_objective_and_gradient(p, ts) for p in q]
+    g = np.array([serial_tangent(p, grad_p) for p, (_, grad_p) in zip(q, scored)])
+    dpsi = q.swapaxes(1, 2) - base
+    num = (np.abs(dpsi) ** 2).sum(axis=(1, 2))
+    den = np.abs((dpsi.swapaxes(1, 2).conj() * (g - grad)).real.sum(axis=(1, 2)))
+    return q, [v for v, _ in scored], g, [float(np.sum(np.abs(x) ** 2)) for x in g], num.tolist(), den.tolist()
+
+
+class TestRoundKernel:
+    """`_retract_and_score` has the bytes of the unfused retraction, objective, tangent and sums."""
+
+    CELLS = [(1, 1, 1), (4, 2, 1), (8, 2, 2), (10, 2, 2), (9, 4, 1), (14, 3, 2), (6, 3, 3), (17, 8, 1)]
+
+    @staticmethod
+    def assert_same_round(got, want):
+        q, f, g, gn2, num, den = got
+        assert q.tobytes() == want[0].tobytes() and q.strides == want[0].strides
+        assert g.tobytes() == want[2].tobytes()
+        for a, b in ((f, want[1]), (gn2, want[3]), (num, want[4]), (den, want[5])):
+            assert bits(a) == bits(b)
+
+    @pytest.mark.parametrize("restarts", [1, 16])
+    @pytest.mark.parametrize("two_j, k, t", CELLS)
+    def test_stepped_trials(self, two_j, k, t, restarts):
+        ts = multipole_stack(two_j, 1, t)
+        psi = seeded_starts(two_j, k, 20240061 + two_j, restarts)
+        rng = np.random.default_rng(two_j)
+        base = np.array([p.T for p in psi])
+        grad = score(psi, t)[1]
+        steps = rng.uniform(1e-6, 0.3, size=restarts)
+        trials = base.swapaxes(1, 2) - steps[:, None, None] * grad
+        self.assert_same_round(subspaces._retract_and_score(trials, base, grad, t),
+                               unfused_round(trials, base, grad, ts))
+
+    @pytest.mark.parametrize("restarts", [1, 16])
+    @pytest.mark.parametrize("two_j, k, t", CELLS)
+    def test_signed_zeros(self, two_j, k, t, restarts):
+        ts = multipole_stack(two_j, 1, t)
+        trials = signed_zero_stack(two_j, k, restarts, 20240062 + two_j)
+        base = signed_zero_stack(two_j, k, restarts, 20240063 + two_j).swapaxes(1, 2).copy()
+        grad = signed_zero_stack(two_j, k, restarts, 20240064 + two_j)
+        zeros = trials.view(float)[trials.view(float) == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        self.assert_same_round(subspaces._retract_and_score(trials, base, grad, t),
+                               unfused_round(trials, base, grad, ts))
+
+    @pytest.mark.parametrize("restarts", [1, 16])
+    @pytest.mark.parametrize("two_j, k, t", CELLS)
+    def test_start_frames(self, two_j, k, t, restarts):
+        # the start frames are scored by the kernel's scoring half, with psi^dag taken from the frame
+        ts = multipole_stack(two_j, 1, t)
+        for psi in (seeded_starts(two_j, k, 20240065, restarts),
+                    subspaces._orthonormalize_rows(signed_zero_stack(two_j, k, restarts, 20240066))):
+            f, g, gn2 = score(psi, t)
+            for r, frame in enumerate(psi):
+                want_f, want_grad = serial_objective_and_gradient(frame, ts)
+                want_g = serial_tangent(frame, want_grad)
+                assert float(f[r]).hex() == want_f.hex() and g[r].tobytes() == want_g.tobytes()
+                assert float(gn2[r]).hex() == float(np.sum(np.abs(want_g) ** 2)).hex()
+
+    def test_trials_are_left_unchanged(self):
+        psi = seeded_starts(9, 3, 20240067, 4)
+        base = np.array([p.T for p in psi])
+        grad = score(psi, 1)[1]
+        trials = base.swapaxes(1, 2) - 0.1 * grad
+        copies = [a.copy() for a in (trials, base, grad)]
+        subspaces._retract_and_score(trials, base, grad, 1)
+        assert all(a.tobytes() == c.tobytes() for a, c in zip((trials, base, grad), copies))
+
+
+class TestSolveBinding:
+    """The Levenberg-Marquardt loops call LAPACK's solve gufunc directly, with the bits of np.linalg.solve."""
+
+    @staticmethod
+    def systems():
+        """Normal equations of both loops' sizes: J^T J + damping, J tall or rank-deficient."""
+        rng = np.random.default_rng(20240071)
+        for n in (3, 6, 12, 22, 44, 60):
+            for rank in (n, max(1, n - 2)):
+                jac = rng.normal(size=(2 * n, rank)) @ rng.normal(size=(rank, n))
+                normal = jac.T @ jac
+                system = normal.copy()
+                system.reshape(-1)[:: n + 1] += 10.0 ** rng.uniform(-12, 0)
+                yield system, rng.normal(size=n)
+
+    def test_matches_np_linalg_solve(self):
+        assert subspaces._solve is subspaces._lapack_solve
+        for a, b in self.systems():
+            got = subspaces._solve(a, b)
+            assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+
+    def test_singular_system_raises_in_both_bindings(self):
+        for a in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(6) - np.eye(6, k=0)):
+            b = np.ones(len(a))
+            for solve in (subspaces._lapack_solve, np.linalg.solve):
+                with pytest.raises(np.linalg.LinAlgError):
+                    solve(a, b)
+
+    def test_linalg_fallback_has_the_same_bits(self, monkeypatch):
+        systems = list(self.systems())
+        want = [subspaces._solve(a, b) for a, b in systems]
+        config = SearchConfig(seed=20240004, restarts=6)
+        result = search_subspace(SpinLabel(10), 2, 2, config)  # the crawl cell: LM entries and rejections
+        monkeypatch.setattr(subspaces, "_solve", np.linalg.solve)
+        assert all(subspaces._solve(a, b).tobytes() == w.tobytes() for (a, b), w in zip(systems, want))
+        fallback = search_subspace(SpinLabel(10), 2, 2, config)
+        assert fallback.records == result.records
+        assert fallback.certificate.frame.matrix().tobytes() == result.certificate.frame.matrix().tobytes()
+
+    def test_rotation_equivalent_matches_np_linalg_solve(self, monkeypatch):
+        entries = list(catalog().values())
+        pairs = [(e.frame, _turned_copy(e.frame, 20240072 + i)) for i, e in enumerate(entries)]
+        pairs += [(a.frame, b.frame) for a in entries for b in entries
+                  if a is not b and a.frame.spin == b.frame.spin and a.frame.k == b.frame.k]
+        got = [rotation_equivalent(a, b, starts=4) for a, b in pairs]
+        monkeypatch.setattr(subspaces, "_solve", np.linalg.solve)
+        want = [rotation_equivalent(a, b, starts=4) for a, b in pairs]
+        for g, w in zip(got, want):
+            assert bits([g.residual, *g.euler_angles]) == bits([w.residual, *w.euler_angles])
+
+    def test_fallback_is_chosen_at_import_without_the_gufunc(self, monkeypatch):
+        import importlib.util
+
+        from numpy.linalg import _umath_linalg
+
+        name = "rotosense._subspaces_without_solve_gufunc"
+        spec = importlib.util.spec_from_file_location(name, subspaces.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        with monkeypatch.context() as m:
+            m.delattr(_umath_linalg, "solve1")
+            spec.loader.exec_module(module)
+        assert module._solve is np.linalg.solve
+        assert subspaces._solve is subspaces._lapack_solve
+
+
 class TestStationaryStop:
     """Phase 1 stops at a positive first-order stationary point, and only there."""
 
@@ -687,16 +849,19 @@ class TestGemmKernel:
     def test_matches_einsum_reference(self, two_j, k, t, restarts):
         ts = multipole_stack(two_j, 1, t)
         psi = seeded_starts(two_j, k, 20240021, restarts)
-        value, grad = subspaces._trace_objective_and_gradient(psi, t)
+        value, tangent, gn2 = score(psi, t)
         want_value, want_grad = einsum_objective_and_gradient(psi, ts)
-        assert value.shape == (restarts,) and grad.shape == psi.shape
+        want_tangent = np.array([serial_tangent(p, g) for p, g in zip(psi, want_grad)])
+        assert value.shape == gn2.shape == (restarts,) and tangent.shape == psi.shape
         assert np.all(np.abs(value - want_value) <= 1e-13 * want_value)
         scale = np.abs(want_grad).max(axis=(1, 2))
-        assert np.all(np.abs(grad - want_grad).max(axis=(1, 2)) <= 1e-13 * scale)
+        assert np.all(np.abs(tangent - want_tangent).max(axis=(1, 2)) <= 1e-13 * scale)
+        assert np.all(np.abs(gn2 - np.sum(np.abs(want_tangent) ** 2, axis=(1, 2))) <= 1e-12 * scale ** 2)
         # frame r of the stack has the bits of a one-frame call on it
         for r in range(restarts):
-            v, g = subspaces._trace_objective_and_gradient(psi[r], t)
-            assert v.tobytes() == value[r].tobytes() and g.tobytes() == grad[r].tobytes()
+            v, g, n2 = score(psi[r:r + 1], t)
+            assert v.tobytes() == value[r:r + 1].tobytes() and g.tobytes() == tangent[r:r + 1].tobytes()
+            assert n2.tobytes() == gn2[r:r + 1].tobytes()
 
     @pytest.mark.parametrize("two_j", [4, 10, 40])
     def test_stack_holds_the_mirror_the_gradient_uses(self, two_j):
