@@ -21,31 +21,17 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 import numpy as np
 
 from .multipole import MultipoleExpansion, MultipoleIndex, multipole_expectations, multipole_operator
-from .spin_core import DensityMatrix, SpinLabel, _coupling_table, check_count
+from .spin_core import DensityMatrix, SpinLabel, _partial_trace, check_count
 
 ANTICOHERENCE_TOL = 1e-8
 MEASURE_TOL = 1e-9
 
 
 def reduced_state(rho: DensityMatrix, t: int) -> DensityMatrix:
-    """State of t symmetric qubits after tracing out the other N - t.
-
-    The result lives in the spin-t/2 basis (descending m).  Embedded in
-    spin-(t/2) (x) spin-(j-t/2), rho has the entry (c[a,b] rho[a+b, a'+b])
-    c[a',b] at (a, b; a', b), with c the `_coupling_table` of the
-    Clebsch-Gordan embedding; those diagonal blocks are gathered from one
-    strided view of rho and summed over b in sequence, as the partial trace
-    of the dense product E rho E^T summed them.  + 0.0 turns a sum of -0.0
-    into the +0.0 that sum started from.
-    """
+    """State of t symmetric qubits after tracing out the other N - t, in the spin-t/2 basis (descending m),
+    gathered from rho by `spin_core._partial_trace` without forming the embedded operator."""
     t = check_count("t", t, 1)
-    c = _coupling_table(rho.spin.two_j, t).T
-    db, da = c.shape
-    m = rho.matrix
-    s0, s1 = m.strides
-    blocks = np.ndarray((db, da, da), m.dtype, m, 0, (s0 + s1, s0, s1)) * c[:, :, None]
-    blocks *= c[:, None, :]
-    return DensityMatrix(SpinLabel(t), np.cumsum(blocks, axis=0)[-1] + 0.0)
+    return DensityMatrix(SpinLabel(t), _partial_trace(rho.matrix, t))
 
 
 def anticoherence_measure(rho: DensityMatrix, t: int) -> float:

@@ -15,7 +15,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .spin_core import DensityMatrix, PureState, SpinLabel, _coupling_table, check_count
+from .spin_core import DensityMatrix, PureState, SpinLabel, _embed_operator, _embed_vector, check_count
 from .subspaces import SubspaceFrame, verify_subspace
 
 NEGATIVITY_TOL = 1e-9
@@ -48,15 +48,14 @@ def embed_bipartite(obj: Union[PureState, DensityMatrix], bipartition: Bipartiti
 
     Pure states map to product-basis amplitude vectors, density matrices to
     operators; the embedding is an isometry, so traces and inner products
-    are preserved.  Product basis state (a, b) takes c[a,b] times amplitude
-    a+b, with c the `_coupling_table`, so no dense isometry is formed.
+    are preserved.  The images are gathered from the state by
+    `spin_core._embed_vector` and `spin_core._embed_operator`, so no dense
+    isometry is formed.
     """
     _check_qubit_count(obj.spin, bipartition)
     if isinstance(obj, PureState):
-        c = _coupling_table(bipartition.n_total, bipartition.t)
-        amp = obj.amplitudes
-        return (c * np.ndarray(c.shape, amp.dtype, amp, 0, amp.strides * 2)).ravel()
-    return _embedded(obj.matrix, bipartition)
+        return _embed_vector(obj.amplitudes, bipartition.t)
+    return _embed_operator(obj.matrix, bipartition.t)
 
 
 def _check_qubit_count(spin: SpinLabel, bipartition: Bipartition) -> None:
@@ -64,39 +63,13 @@ def _check_qubit_count(spin: SpinLabel, bipartition: Bipartition) -> None:
         raise ValueError("bipartition does not match the state's qubit count")
 
 
-def _embedded(matrices: np.ndarray, bipartition: Bipartition, partial_transpose: bool = False) -> np.ndarray:
-    """E rho E^T of each matrix in a (..., d, d) stack, or its partial transpose, as (..., da db, da db).
-
-    Entry (a, b, a', b') of the embedded operator is (c[a,b] rho[a+b, a'+b'])
-    c[a',b'], with c the `_coupling_table`: each row of the dense isometry E
-    holds one coefficient, so this is E rho E^T in the order of its two
-    products.  The partial transpose swaps b and b'.  Either is one C-ordered
-    product of a read-only strided view of rho, scaled in place; + 0.0 turns
-    a -0.0 into the +0.0 that the dense products' sums of zeros give.
-    """
-    c = _coupling_table(bipartition.n_total, bipartition.t)
-    da, db = c.shape
-    m = np.ascontiguousarray(matrices)
-    *lead, s0, s1 = m.strides
-    view = np.ndarray((*m.shape[:-2], da, db, da, db), m.dtype, m, 0, (*lead, s0, s0, s1, s1))
-    view.flags.writeable = False
-    factors = [view, c[:, :, None, None], c[None, None]]
-    if partial_transpose:
-        factors = [f.swapaxes(-3, -1) for f in factors]
-    view, left, right = factors
-    out = np.multiply(view, left, order="C")
-    out *= right
-    out += 0.0
-    return out.reshape(*m.shape[:-2], da * db, da * db)
-
-
 def _partial_transpose_spectrum(matrices: np.ndarray, bipartition: Bipartition) -> np.ndarray:
     """Spectrum of the partial transpose of one embedded operator, or of each in a (..., d, d) stack.
 
-    The partial transpose is gathered from rho by `_embedded`; `eigvalsh` is
-    the only dense step.
+    The partial transpose is gathered from rho by `spin_core._embed_operator`;
+    `eigvalsh` is the only dense step.
     """
-    return np.linalg.eigvalsh(_embedded(matrices, bipartition, partial_transpose=True))
+    return np.linalg.eigvalsh(_embed_operator(matrices, bipartition.t, partial_transpose=True))
 
 
 def _negativity_of(spectra: np.ndarray) -> np.ndarray:

@@ -131,34 +131,36 @@ def multipole_stack(two_j: int, l_min: int, l_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _band(two_j: int, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather tables of the T_a, 1 <= L <= t, (L, M) ascending, and their offsets M: column e of T_a holds
-    values[a, e] in row columns[a, e] = e - M, or zero, reading row 0, where that row is outside."""
+def _band(two_j: int, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of the T_a, 1 <= L <= t, (L, M) ascending: column e of T_a holds values[a, e] in row
+    columns[a, e] = e - M, or zero, reading row 0, where that row is outside; mirror[a] is the index of
+    T_L,-M and signs[a, 0] is (-1)^M."""
     if not 1 <= t <= two_j:
         raise ValueError(f"invalid L range [1, {t}] for two_j={two_j}")
     offsets = np.concatenate([np.arange(-L, L + 1) for L in range(1, t + 1)])
     rows = np.arange(two_j + 1) - offsets[:, None]
     columns = np.where((0 <= rows) & (rows <= two_j), rows, 0)
     values = np.take_along_axis(np.concatenate([_sector(two_j, L) for L in range(1, t + 1)]), columns, axis=1)
-    return _readonly(columns), _readonly(np.where(columns == rows, values, 0.0).astype(complex)), _readonly(offsets)
+    return (_readonly(columns), _readonly(np.where(columns == rows, values, 0.0).astype(complex)),
+            _readonly(np.arange(offsets.size) - 2 * offsets), _readonly((1 - 2 * (offsets % 2))[:, None]))
 
 
 def multipole_products(psi: np.ndarray, t: int) -> np.ndarray:
     """psi T_a for a (..., k, 2j+1) frame stack psi, 1 <= L <= t, (L, M) ascending: one gather of psi times
     one row of values per T_a, C-contiguous (..., k, A, 2j+1), the numbers of psi @ [T_1 ... T_A]."""
-    columns, values, _ = _band(psi.shape[-1] - 1, t)
+    columns, values, _, _ = _band(psi.shape[-1] - 1, t)
     return psi.take(columns, axis=-1) * values
 
 
 def adjoint_products(products: np.ndarray, t: int) -> np.ndarray:
     """[..., j, a, e] = (T_a psi^dag)[e, j] from `multipole_products(psi, t)`, as (-1)^M conj(psi T_L,-M)."""
-    offsets = _band(products.shape[-1] - 1, t)[2]
-    return products[..., np.arange(offsets.size) - 2 * offsets, :].conj() * (1 - 2 * (offsets % 2))[:, None]
+    _, _, mirror, signs = _band(products.shape[-1] - 1, t)
+    return products[..., mirror, :].conj() * signs
 
 
 def multipole_expectations(matrix: np.ndarray, t: int) -> np.ndarray:
     """Tr(rho T_a), 1 <= L <= t, (L, M) ascending: sum_e T_a[e - M, e] rho[e, e - M], added in sequence."""
-    columns, values, _ = _band(matrix.shape[-1] - 1, t)
+    columns, values, _, _ = _band(matrix.shape[-1] - 1, t)
     return np.einsum("ae,ae->a", values, matrix[np.arange(matrix.shape[-1]), columns])
 
 

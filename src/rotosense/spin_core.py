@@ -491,21 +491,49 @@ def _coupling_table(two_j: int, t: int) -> np.ndarray:
     ]))
 
 
-@lru_cache(maxsize=None)
-def embedding_isometry(two_j: int, t: int) -> np.ndarray:
-    """Isometry from the spin-j space into spin-(t/2) (x) spin-(j - t/2), as a dense matrix.
+def _embed_vector(amplitudes: np.ndarray, t: int) -> np.ndarray:
+    """A spin-j vector in spin-(t/2) (x) spin-(j-t/2): entry (a, b), b fastest, is c[a,b] amplitudes[a+b],
+    with c the `_coupling_table`, read through one strided view, so no dense isometry is formed."""
+    c = _coupling_table(amplitudes.shape[-1] - 1, t)
+    return (c * np.ndarray(c.shape, amplitudes.dtype, amplitudes, 0, amplitudes.strides * 2)).ravel()
 
-    Row index runs over product-basis pairs (mu, nu) with both factors in
-    descending-m order (nu fastest); column index is the spin-j basis.
-    Columns are the Clebsch-Gordan coupled states, so E^dag E = 1.  Each row
-    holds one entry of `_coupling_table`, in column ia + ib.  The library
-    reads that table directly; this dense view is kept for callers and tests.
+
+def _embed_operator(matrices: np.ndarray, t: int, partial_transpose: bool = False) -> np.ndarray:
+    """E rho E^T of each matrix in a (..., d, d) stack, or its partial transpose, as (..., da db, da db).
+
+    Entry (a, b, a', b') of the embedded operator is (c[a,b] rho[a+b, a'+b'])
+    c[a',b'], with c the `_coupling_table`: each row of the dense isometry E
+    holds one coefficient, so this is E rho E^T in the order of its two
+    products.  The partial transpose swaps b and b'.  Either is one C-ordered
+    product of a read-only strided view of rho, scaled in place; + 0.0 turns
+    a -0.0 into the +0.0 that the dense products' sums of zeros give.
     """
-    c = _coupling_table(two_j, t)
+    m = np.ascontiguousarray(matrices)
+    c = _coupling_table(m.shape[-1] - 1, t)
     da, db = c.shape
-    e = np.zeros((da * db, two_j + 1))
-    e[np.arange(da * db), np.add.outer(np.arange(da), np.arange(db)).ravel()] = c.ravel()
-    return _readonly(e)
+    *lead, s0, s1 = m.strides
+    view = np.ndarray((*m.shape[:-2], da, db, da, db), m.dtype, m, 0, (*lead, s0, s0, s1, s1))
+    view.flags.writeable = False
+    factors = [view, c[:, :, None, None], c[None, None]]
+    if partial_transpose:
+        factors = [f.swapaxes(-3, -1) for f in factors]
+    view, left, right = factors
+    out = np.multiply(view, left, order="C")
+    out *= right
+    out += 0.0
+    return out.reshape(*m.shape[:-2], da * db, da * db)
+
+
+def _partial_trace(matrix: np.ndarray, t: int) -> np.ndarray:
+    """The (t+1, t+1) matrix of t of the 2j qubits: the blocks (c[a,b] rho[a+b, a'+b]) c[a',b] of E rho E^T,
+    gathered from one strided view of rho and summed over b in sequence, as the dense partial trace summed
+    them; + 0.0 turns a sum of -0.0 into the +0.0 that sum started from."""
+    c = _coupling_table(matrix.shape[-1] - 1, t).T
+    db, da = c.shape
+    s0, s1 = matrix.strides
+    blocks = np.ndarray((db, da, da), matrix.dtype, matrix, 0, (s0 + s1, s0, s1)) * c[:, :, None]
+    blocks *= c[:, None, :]
+    return np.cumsum(blocks, axis=0)[-1] + 0.0
 
 
 # ---------------------------------------------------------------------------

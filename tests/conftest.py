@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, clebsch_gordan_2, embedding_isometry
+from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, clebsch_gordan_2
 
 
 def random_pure(spin: SpinLabel, rng) -> PureState:
@@ -95,9 +96,28 @@ def serial_sector(two_j: int, L: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def cg_embedding_isometry(two_j, t):
+    """Reference isometry from spin-j into spin-(t/2) (x) spin-(j-t/2): row ia * db + ib, column m, every
+    entry from clebsch_gordan_2, as the Racah-sum loop built it.  Cached; read-only."""
+    ta, tb = t, two_j - t
+    da, db, d = ta + 1, tb + 1, two_j + 1
+    e = np.zeros((da * db, d))
+    for ia in range(da):
+        tmu = ta - 2 * ia
+        for ib in range(db):
+            tnu = tb - 2 * ib
+            tm = tmu + tnu
+            if abs(tm) > two_j:
+                continue
+            e[ia * db + ib, (two_j - tm) // 2] = clebsch_gordan_2(ta, tmu, tb, tnu, two_j, tm)
+    e.flags.writeable = False
+    return e
+
+
 def dense_embedding(matrices, two_j, t):
-    """Reference embedded operator: E rho E^T with the dense isometry, for one matrix or a (..., d, d) stack."""
-    e = embedding_isometry(two_j, t)
+    """Reference embedded operator: E rho E^T with the reference isometry, for one matrix or a (..., d, d) stack."""
+    e = cg_embedding_isometry(two_j, t)
     return e @ matrices @ e.T
 
 

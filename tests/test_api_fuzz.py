@@ -232,7 +232,6 @@ def test_integer_arguments_are_checked_whatever_the_cache_holds(name):
     call, n = INTEGER_ARGUMENTS[name]
     multipole_stack.cache_clear()
     multipole._band.cache_clear()
-    spin_core.embedding_isometry.cache_clear()
     spin_core._coupling_table.cache_clear()
     for bad in (1.5, True, float(n)):
         with pytest.raises(ValueError, match="must be an integer"):

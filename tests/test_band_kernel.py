@@ -1,22 +1,22 @@
-"""The band kernel of `rotosense.multipole` gives the numbers of the dense T_LM formulas, and no
-library path builds the dense stack or the dense embedding isometry."""
+"""The band kernel of `rotosense.multipole` gives the numbers of the dense T_LM formulas, no library
+path builds the dense stack, and no module keeps a dense embedding isometry."""
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rotosense
 from rotosense import subspaces
-from rotosense.anticoherence import anticoherence_report, is_anticoherent
-from rotosense.entanglement import Bipartition, negativity, protected_negativity_suite, schmidt_spectrum
+from rotosense.anticoherence import is_anticoherent
 from rotosense.multipole import adjoint_products, multipole_expectations, multipole_products, multipole_stack
 from rotosense.oqr import certify, spin2_family
-from rotosense.spin_core import DensityMatrix, SpinLabel, embedding_isometry
+from rotosense.spin_core import DensityMatrix, SpinLabel
 from rotosense.subspaces import SearchConfig, catalog, objective_g_t, search_subspace, verify_subspace
-from conftest import random_density, random_pure, serial_objective_and_gradient, serial_residual_and_jacobian, serial_tangent
+from conftest import random_density, serial_objective_and_gradient, serial_residual_and_jacobian, serial_tangent
 
 
 def frames(two_j, k, restarts, seed):
@@ -117,16 +117,11 @@ def test_no_library_path_builds_a_dense_stack():
 
 
 def test_no_library_path_builds_a_dense_isometry():
-    embedding_isometry.cache_clear()
-    rng = np.random.default_rng(20240056)
-    anticoherence_report(random_density(SpinLabel(12), rng))
-    rho = random_density(SpinLabel(9), rng, rank=2)
-    for t in range(1, 9):
-        negativity(rho, Bipartition(t, 9))
-    entry = catalog()["(7/2,2,2)"]
-    protected_negativity_suite(entry.frame, entry.order_t)
-    schmidt_spectrum(random_pure(SpinLabel(8), rng), Bipartition(3, 8))
-    assert embedding_isometry.cache_info().currsize == 0
+    # the embeddings are gathered from `spin_core._coupling_table`: no package module defines or names
+    # a dense isometry
+    for path in Path(rotosense.__file__).parent.glob("*.py"):
+        assert "embedding_isometry" not in path.read_text(encoding="utf-8"), path.name
+    assert not hasattr(rotosense.spin_core, "embedding_isometry")
 
 
 def test_full_rank_report_at_two_j_80_stays_small():

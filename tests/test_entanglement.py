@@ -20,11 +20,11 @@ from rotosense.spin_core import (
     DensityMatrix,
     PureState,
     SpinLabel,
-    embedding_isometry,
     rotation_operator,
 )
 from rotosense.subspaces import catalog, spin2_plane, spin3_one_ac_triple
 from conftest import (
+    cg_embedding_isometry,
     dense_embedding,
     dense_partial_transpose_spectrum,
     random_axis,
@@ -103,7 +103,8 @@ def sample_states(two_j, rng):
 
 
 class TestGatherMatchesTheDenseEmbedding:
-    """The coupling-table gathers give the numbers of the dense products with `embedding_isometry`."""
+    """The coupling-table gathers give the numbers of the dense products with the reference isometry,
+    built from `clebsch_gordan_2`."""
 
     @pytest.mark.parametrize("two_j", list(range(2, 41)))
     def test_pure_embedding_has_the_bytes_of_the_isometry_product(self, two_j, rng):
@@ -113,7 +114,7 @@ class TestGatherMatchesTheDenseEmbedding:
         for psi in states:
             for t in range(1, two_j):
                 got = embed_bipartite(psi, Bipartition(t, two_j))
-                assert got.tobytes() == (embedding_isometry(two_j, t) @ psi.amplitudes).tobytes(), t
+                assert got.tobytes() == (cg_embedding_isometry(two_j, t) @ psi.amplitudes).tobytes(), t
 
     @pytest.mark.parametrize("two_j", list(range(2, 21)))
     def test_negativity_spectrum_has_the_bytes_of_the_dense_partial_transpose(self, two_j, rng):
@@ -140,6 +141,16 @@ class TestGatherMatchesTheDenseEmbedding:
         bip = Bipartition(t, two_j)
         assert (_partial_transpose_spectrum(stack, bip).tobytes()
                 == dense_partial_transpose_spectrum(stack, bip).tobytes())
+
+    @pytest.mark.parametrize("two_j, t", [(3, 1), (8, 3), (16, 8)])
+    def test_non_contiguous_stacks_give_the_bytes_of_their_contiguous_copies(self, two_j, t, rng):
+        s = SpinLabel(two_j)
+        stack = np.stack([random_density(s, rng, rank=1 + i % 3).matrix for i in range(12)])
+        bip = Bipartition(t, two_j)
+        for matrices in (stack[::2], np.asfortranarray(stack), np.asfortranarray(stack[0])):
+            assert not matrices.flags.c_contiguous
+            want = _partial_transpose_spectrum(np.ascontiguousarray(matrices), bip)
+            assert _partial_transpose_spectrum(matrices, bip).tobytes() == want.tobytes()
 
     def test_mixed_embedding_differs_from_the_dense_product_only_in_the_sign_of_zeros(self, rng):
         # the GEMM of E rho E^T may write -0.0 where rho holds an exact 0; the gather writes +0.0 there,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rotosense.entanglement import Bipartition, embed_bipartite
 from rotosense.spin_core import (
     AxisAngle,
     DensityMatrix,
@@ -17,12 +18,11 @@ from rotosense.spin_core import (
     direction,
     eigen_mixture,
     _coupling_table,
-    embedding_isometry,
     rotation_operator,
     rotation_operator_euler,
     unit_axis,
 )
-from conftest import fraction_clebsch_gordan_2, random_axis, random_density, random_pure
+from conftest import cg_embedding_isometry, fraction_clebsch_gordan_2, random_axis, random_density, random_pure
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -346,62 +346,49 @@ class TestIntegerRacahSum:
         assert np.float64(clebsch_gordan_2(*args)).tobytes() == np.float64(0.0).tobytes()
 
     @pytest.mark.parametrize("two_j", list(range(2, 21)))
-    def test_embedding_isometry_matches_fraction_sum(self, two_j):
+    def test_coupling_table_matches_fraction_sum(self, two_j):
         for t in range(1, two_j):
             ta, tb = t, two_j - t
-            want = np.zeros(((ta + 1) * (tb + 1), two_j + 1))
-            for ia in range(ta + 1):
-                for ib in range(tb + 1):
-                    tm = ta - 2 * ia + tb - 2 * ib
-                    want[ia * (tb + 1) + ib, (two_j - tm) // 2] = fraction_clebsch_gordan_2(
-                        ta, ta - 2 * ia, tb, tb - 2 * ib, two_j, tm)
-            assert embedding_isometry(two_j, t).tobytes() == want.tobytes()
+            want = np.array([[fraction_clebsch_gordan_2(ta, ta - 2 * ia, tb, tb - 2 * ib, two_j, two_j - 2 * (ia + ib))
+                              for ib in range(tb + 1)] for ia in range(ta + 1)])
+            assert _coupling_table(two_j, t).tobytes() == want.tobytes()
 
 
-def cg_embedding_isometry(two_j, t):
-    """Reference isometry: every entry from clebsch_gordan_2, as the Racah-sum loop built it."""
-    ta, tb = t, two_j - t
-    da, db, d = ta + 1, tb + 1, two_j + 1
-    e = np.zeros((da * db, d))
-    for ia in range(da):
-        tmu = ta - 2 * ia
-        for ib in range(db):
-            tnu = tb - 2 * ib
-            tm = tmu + tnu
-            if abs(tm) > two_j:
-                continue
-            e[ia * db + ib, (two_j - tm) // 2] = clebsch_gordan_2(ta, tmu, tb, tnu, two_j, tm)
-    return e
+def layout_positions(two_j, t):
+    """(row, column) of the entry of product state (a, b) in the reference isometry: (a db + b, a + b)."""
+    da, db = t + 1, two_j - t + 1
+    return np.arange(da * db), np.add.outer(np.arange(da), np.arange(db)).ravel()
 
 
 class TestClosedFormEmbedding:
     @pytest.mark.parametrize("two_j", list(range(2, 41)))
     def test_matches_racah_sum_bytes(self, two_j):
         for t in range(1, two_j):
-            got = embedding_isometry(two_j, t)
-            assert got.tobytes() == cg_embedding_isometry(two_j, t).tobytes(), t
+            got = _coupling_table(two_j, t)
+            assert got.tobytes() == cg_embedding_isometry(two_j, t)[layout_positions(two_j, t)].tobytes(), t
             assert not got.flags.writeable
 
-    def test_is_an_isometry(self):
+    def test_is_an_isometry(self, rng):
         for two_j, t in ((7, 3), (40, 1), (40, 20)):
-            e = embedding_isometry(two_j, t)
-            assert np.abs(e.T @ e - np.eye(two_j + 1)).max() < 1e-13
+            bip = Bipartition(t, two_j)
+            states = [random_pure(SpinLabel(two_j), rng) for _ in range(6)]
+            images = np.array([embed_bipartite(psi, bip) for psi in states])
+            amplitudes = np.array([psi.amplitudes for psi in states])
+            assert np.abs(np.linalg.norm(images, axis=1) - 1.0).max() < 1e-13
+            assert np.abs(images.conj() @ images.T - amplitudes.conj() @ amplitudes.T).max() < 1e-13
 
     def test_out_of_range_bipartition_rejected(self):
         for t in (0, 4):
-            with pytest.raises(ValueError, match="out of range"):
-                embedding_isometry(4, t)
             with pytest.raises(ValueError, match="out of range"):
                 _coupling_table(4, t)
 
     def test_coupling_table_holds_the_nonzero_of_each_isometry_row(self):
         for two_j, t in ((2, 1), (7, 3), (40, 1), (40, 20)):
             c = _coupling_table(two_j, t)
-            e = embedding_isometry(two_j, t)
-            assert not c.flags.writeable
+            e = cg_embedding_isometry(two_j, t)
             assert c.tobytes() == e.max(axis=1).tobytes()
             assert (np.count_nonzero(e, axis=1) == 1).all()
-            assert (e.argmax(axis=1) == np.add.outer(np.arange(t + 1), np.arange(two_j - t + 1)).ravel()).all()
+            assert (e.argmax(axis=1) == layout_positions(two_j, t)[1]).all()
 
 
 class TestEigenMixture:
