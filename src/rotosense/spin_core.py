@@ -95,6 +95,61 @@ def check_orthonormal(spin: SpinLabel, states, what: str) -> None:
         raise ValueError(f"{what} not orthonormal: deviation {dev:.3e}")
 
 
+def check_density_matrices(matrices: np.ndarray, d: int) -> None:
+    """Raise unless each matrix of an (n, d, d) stack is a density matrix.
+
+    The gates run in the order finite, Hermitian within HERMITICITY_TOL,
+    unit trace within TRACE_TOL, PSD within PSD_TOL, and the error is the one
+    a lone matrix raises, with its numbers, for the first matrix that fails
+    one; a lone matrix is checked as the stack `m[None]`.  Each matrix's
+    numbers are those a lone matrix gives, and `eigvalsh`, one LAPACK call
+    per matrix, runs only on the matrices before the first that fails
+    another gate.
+    """
+    if matrices.shape[1:] != (d, d):
+        raise ValueError(f"matrix has shape {matrices.shape[1:]}, expected ({d}, {d})")
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum of huge entries reads as inf, not as a warning
+        finite = np.isfinite(matrices).all(axis=(1, 2)).tolist()
+        herm = np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+        tr = np.trace(matrices, axis1=1, axis2=2).tolist()
+    first = next((i for i, (f, h, t) in enumerate(zip(finite, herm, tr))
+                  if not f or h > HERMITICITY_TOL or abs(t - 1.0) > TRACE_TOL), len(tr))
+    for lam_min in np.linalg.eigvalsh(matrices[:first])[:, 0].tolist():
+        if lam_min < -PSD_TOL:
+            raise ValueError(f"matrix not PSD: smallest eigenvalue {lam_min:.3e}")
+    if first == len(tr):
+        return
+    if not finite[first]:
+        raise ValueError("matrix not finite: it holds NaN or infinite entries")
+    if herm[first] > HERMITICITY_TOL:
+        raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {herm[first]:.3e}")
+    raise ValueError(f"trace is {tr[first]:.12g}, expected 1 within {TRACE_TOL}")
+
+
+def mixture_matrices(weights: np.ndarray, states) -> np.ndarray:
+    """sum_i w_i |a_i><a_i| over the pure states a_i, for each row of an (n, k) weight array, as (n, d, d).
+
+    Each row must be a probability vector: finite, no entry below
+    -NORM_TOL, summing to 1 within NORM_TOL.  The terms w_i outer(a_i, a_i*)
+    are added in state order to a zero matrix, so each matrix has the bits
+    a one-row call gives it.
+    """
+    states = list(states)
+    if not states:
+        raise ValueError("empty mixture")
+    w = np.asarray(weights, dtype=float)
+    if (w.shape[1:] != (len(states),) or not np.isfinite(w).all() or (w < -NORM_TOL).any()
+            or (np.abs(w.sum(axis=1) - 1.0) > NORM_TOL).any()):
+        raise ValueError("weights must be a probability vector matching the states")
+    spin = states[0].spin
+    if any(s.spin != spin for s in states):
+        raise ValueError("mixed spins in mixture")
+    m = np.zeros((len(w), spin.dimension, spin.dimension), dtype=complex)
+    for wi, s in zip(w.T, states):
+        m += wi[:, None, None] * np.outer(s.amplitudes, s.amplitudes.conj())
+    return m
+
+
 @dataclass(frozen=True, order=True)
 class SpinLabel:
     """Spin quantum number j, stored exactly as the integer two_j = 2j."""
@@ -194,21 +249,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        d = self.spin.dimension
-        if m.shape != (d, d):
-            raise ValueError(f"matrix has shape {m.shape}, expected ({d}, {d})")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix not finite: it holds NaN or infinite entries")
-        with np.errstate(over="ignore"):  # a sum of huge entries reads as inf, not as a warning
-            herm = float(np.abs(m - m.conj().T).max())
-            tr = complex(np.trace(m))
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {herm:.3e}")
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {tr:.12g}, expected 1 within {TRACE_TOL}")
-        lam_min = float(np.linalg.eigvalsh(m)[0])
-        if lam_min < -PSD_TOL:
-            raise ValueError(f"matrix not PSD: smallest eigenvalue {lam_min:.3e}")
+        check_density_matrices(m[None], self.spin.dimension)
         object.__setattr__(self, "matrix", _readonly(m.copy()))
 
     @classmethod
@@ -218,20 +259,10 @@ class DensityMatrix:
 
     @classmethod
     def from_mixture(cls, weights, states) -> "DensityMatrix":
-        """Convex mixture of pure states (weights need not be sorted)."""
+        """Convex mixture of pure states (weights need not be sorted), built by `mixture_matrices`."""
         states = list(states)
-        if not states:
-            raise ValueError("empty mixture")
-        spin = states[0].spin
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(states),) or np.any(w < -NORM_TOL) or abs(w.sum() - 1.0) > NORM_TOL:
-            raise ValueError("weights must be a probability vector matching the states")
-        m = np.zeros((spin.dimension, spin.dimension), dtype=complex)
-        for wi, s in zip(w, states):
-            if s.spin != spin:
-                raise ValueError("mixed spins in mixture")
-            m += wi * np.outer(s.amplitudes, s.amplitudes.conj())
-        return cls(spin, m)
+        matrices = mixture_matrices(np.asarray(weights, dtype=float)[None], states)
+        return cls(states[0].spin, matrices[0])
 
     @property
     def purity(self) -> float:
