@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 import numpy as np
 
 from .multipole import MultipoleExpansion, MultipoleIndex, multipole_expectations, multipole_operator
-from .spin_core import DensityMatrix, SpinLabel, _partial_trace, check_count
+from .spin_core import DensityMatrix, SpinLabel, _derived, _partial_trace, check_count
 
 ANTICOHERENCE_TOL = 1e-8
 MEASURE_TOL = 1e-9
@@ -29,9 +29,9 @@ MEASURE_TOL = 1e-9
 
 def reduced_state(rho: DensityMatrix, t: int) -> DensityMatrix:
     """State of t symmetric qubits after tracing out the other N - t, in the spin-t/2 basis (descending m),
-    gathered from rho by `spin_core._partial_trace` without forming the embedded operator."""
+    gathered from rho by `spin_core._partial_trace` without forming the embedded operator; not checked again."""
     t = check_count("t", t, 1)
-    return DensityMatrix(SpinLabel(t), _partial_trace(rho.matrix, t))
+    return _derived(DensityMatrix, spin=SpinLabel(t), matrix=_partial_trace(rho.matrix, t))
 
 
 def anticoherence_measure(rho: DensityMatrix, t: int) -> float:

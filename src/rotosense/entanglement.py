@@ -78,7 +78,7 @@ def _negativity_of(spectra: np.ndarray) -> np.ndarray:
     return np.sum((np.abs(spectra) - spectra) / 2, axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegativityReport:
     bipartition: Bipartition
     spectrum: np.ndarray
@@ -112,7 +112,7 @@ def schmidt_spectrum(psi: PureState, bipartition: Bipartition) -> np.ndarray:
 # Protected-negativity property suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtectedNegativityReport:
     frame: SubspaceFrame
     order_t: int

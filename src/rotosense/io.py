@@ -159,7 +159,7 @@ def save_subspace(path: Union[str, Path], frame: SubspaceFrame, t: int,
     _write_json(path, payload, manifest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceFileContent:
     frame: SubspaceFrame
     t: int

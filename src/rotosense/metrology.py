@@ -108,7 +108,7 @@ def qfi_from_moments(rho: DensityMatrix, axis) -> float:
     return 4.0 * moment - 8.0 * float(np.sum(w * np.abs(m_im) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QfiQuadraticForm:
     """Real symmetric K with I(n, rho) = n^T K n for every unit n.
 
@@ -119,7 +119,7 @@ class QfiQuadraticForm:
 
     spin: SpinLabel
     matrix: np.ndarray = field(repr=False)
-    _principal: np.ndarray = field(init=False, repr=False, compare=False)
+    _principal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = np.asarray(self.matrix, dtype=float)
@@ -264,7 +264,7 @@ def crb_report(rho: DensityMatrix) -> CrbReport:
 # Fidelity-vs-QFI consistency
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityTaylorReport:
     etas: np.ndarray
     fidelity_deficits: np.ndarray     # 1 - F(rho, R rho R^dag)
@@ -300,7 +300,7 @@ def fidelity_taylor_check(rho: DensityMatrix, axis, etas) -> FidelityTaylorRepor
 # Fixed-axis benchmark
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedAxisOptimum:
     max_qfi: float
     states: tuple

@@ -38,7 +38,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .spin_core import DensityMatrix, SpinLabel, _multipole_row, _readonly, check_count
+from .spin_core import DensityMatrix, SpinLabel, _derived, _multipole_row, _readonly, check_count
 
 CONJUGATION_TOL = 1e-12
 
@@ -186,15 +186,6 @@ class MultipoleExpansion:
                 )
         object.__setattr__(self, "coefficients", coeffs)
 
-    @classmethod
-    def _of_density_matrix(cls, spin: SpinLabel, coefficients: Dict[MultipoleIndex, complex]):
-        """The expansion of a validated DensityMatrix, not checked again: the coefficient asymmetry
-        its Hermiticity gate admits reaches about sqrt(2j+1) HERMITICITY_TOL > CONJUGATION_TOL."""
-        expansion = object.__new__(cls)
-        object.__setattr__(expansion, "spin", spin)
-        object.__setattr__(expansion, "coefficients", coefficients)
-        return expansion
-
     def coefficient(self, L: int, M: int) -> complex:
         return self.coefficients.get(MultipoleIndex(L, M), 0.0 + 0.0j)
 
@@ -242,7 +233,9 @@ def expand(rho: DensityMatrix) -> MultipoleExpansion:
     The diagonals of rho are laid out as the sectors are, row M + 2j holding
     rho[i, i + M] at column i and zero where i + M falls outside the matrix;
     each sector L is multiplied by the 2L + 1 rows of its offsets, and each
-    product row is summed over all 2j + 1 columns.
+    product row is summed over all 2j + 1 columns.  The expansion is not
+    checked again: the coefficient asymmetry that rho's Hermiticity gate
+    admits reaches about sqrt(2j+1) HERMITICITY_TOL > CONJUGATION_TOL.
     """
     two_j = rho.spin.two_j
     d = two_j + 1
@@ -250,7 +243,7 @@ def expand(rho: DensityMatrix) -> MultipoleExpansion:
     values = np.concatenate([
         (diagonals[two_j - L:two_j + L + 1] * _sector(two_j, L)).sum(axis=-1) for L in range(d)
     ]).tolist()
-    return MultipoleExpansion._of_density_matrix(rho.spin, dict(zip(_keys(two_j), values)))
+    return _derived(MultipoleExpansion, spin=rho.spin, coefficients=dict(zip(_keys(two_j), values)))
 
 
 def reconstruct(expansion: MultipoleExpansion) -> DensityMatrix:

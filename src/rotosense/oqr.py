@@ -19,11 +19,11 @@ import numpy as np
 
 from .anticoherence import ANTICOHERENCE_TOL, is_anticoherent
 from .metrology import averaged_inverse_qfi_from_form, qfi_quadratic_form
-from .spin_core import DensityMatrix, PureState, SpinLabel, check_count, eigen_mixture
+from .spin_core import DensityMatrix, PureState, SpinLabel, _derived, check_count, eigen_mixture
 from .subspaces import SUCCESS_THRESHOLD, SubspaceFrame, objective_g_t, spin2_plane, spin3_one_ac_triple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OqrVerdict:
     image_frame: SubspaceFrame
     image_g1: float
@@ -65,8 +65,7 @@ def certify(rho: DensityMatrix) -> OqrVerdict:
     numbers; both grades read the module gates SUCCESS_THRESHOLD and
     ANTICOHERENCE_TOL.
     """
-    mixture = eigen_mixture(rho)
-    frame = SubspaceFrame(rho.spin, mixture.states)
+    frame = _derived(SubspaceFrame, spin=rho.spin, basis=eigen_mixture(rho).states)
     g1 = objective_g_t(frame, 1) if rho.spin.two_j >= 1 else math.inf
     check2 = is_anticoherent(rho, 2)
     form = qfi_quadratic_form(rho)

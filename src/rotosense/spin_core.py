@@ -32,6 +32,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _derived(cls, **fields):
+    """A `cls` derived from checked values and not judged again, lest rounding carry it past a gate."""
+    value = object.__new__(cls)
+    for name, v in fields.items():
+        object.__setattr__(value, name, _readonly(v) if isinstance(v, np.ndarray) else v)
+    return value
+
+
 def unit_axis(axis) -> np.ndarray:
     """`axis` as a float array, checked to be a 3-vector of finite numbers with unit norm within AXIS_TOL."""
     ax = np.asarray(axis, dtype=float)
@@ -123,7 +131,7 @@ def check_density_matrices(matrices: np.ndarray, d: int) -> None:
         raise ValueError("matrix not finite: it holds NaN or infinite entries")
     if herm[first] > HERMITICITY_TOL:
         raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {herm[first]:.3e}")
-    raise ValueError(f"trace is {tr[first]:.12g}, expected 1 within {TRACE_TOL}")
+    raise ValueError(f"trace is {tr[first]}, |trace - 1| = {abs(tr[first] - 1.0):.3e}, expected at most {TRACE_TOL}")
 
 
 def mixture_matrices(weights: np.ndarray, states) -> np.ndarray:
@@ -192,7 +200,7 @@ class SpinLabel:
         return f"{self.two_j // 2}" if self.two_j % 2 == 0 else f"{self.two_j}/2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized amplitude vector in the |j,m> basis, m descending."""
 
@@ -234,13 +242,13 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.spin, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _derived(DensityMatrix, spin=self.spin, matrix=np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def rotated(self, operator: np.ndarray) -> "PureState":
         return PureState(self.spin, operator @ self.amplitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite operator on the spin-j space."""
 
@@ -277,7 +285,7 @@ class DensityMatrix:
         return DensityMatrix(self.spin, unitary @ self.matrix @ unitary.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisAngle:
     """Rotation by `angle` radians about the unit vector `axis`."""
 
@@ -299,7 +307,7 @@ class AxisAngle:
         return np.eye(3) + math.sin(self.angle) * kx + (1 - math.cos(self.angle)) * (kx @ kx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenMixture:
     """The image of a density matrix: its eigenvectors above a rank tolerance, by descending weight."""
 
@@ -575,12 +583,12 @@ def eigen_mixture(rho: DensityMatrix) -> EigenMixture:
     """Eigendecomposition of rho with weights sorted descending.
 
     Eigenvalues below DEFAULT_RANK_TOL belong to the kernel, which is not
-    kept; the retained count defines the rank.
+    kept; the retained count defines the rank.  Each eigenvector is divided
+    by its `_with_norm` norm, as in `PureState.from_unnormalized`.
     """
     lam, vec = rho.spectrum
     order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    vec = vec[:, order]
-    keep = lam >= DEFAULT_RANK_TOL
-    states = tuple(PureState.from_unnormalized(rho.spin, vec[:, i]) for i in range(len(lam)) if keep[i])
-    return EigenMixture(rho.spin, lam[keep], states)
+    kept = order[lam[order] >= DEFAULT_RANK_TOL]
+    normed = (_with_norm(vec[:, i]) for i in kept)
+    states = tuple(_derived(PureState, spin=rho.spin, amplitudes=v / norm) for v, norm in normed)
+    return _derived(EigenMixture, spin=rho.spin, weights=lam[kept], states=states)

@@ -68,7 +68,7 @@ TURN_FIT_INITIAL_DAMPING = 1e-3  # times diag(J^T J)
 # Frames and certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceFrame:
     """Ordered orthonormal basis of a candidate subspace."""
 
@@ -103,7 +103,7 @@ class SubspaceFrame:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceCertificate:
     frame: SubspaceFrame
     order_t: int
@@ -325,7 +325,7 @@ class RestartRecord:
         return self.objective <= DESCENT_GATE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     certificate: SubspaceCertificate
     records: Tuple[RestartRecord, ...]
@@ -804,7 +804,7 @@ def rotation_equivalent(
 # Catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalogEntry:
     name: str
     frame: SubspaceFrame

@@ -1,7 +1,9 @@
 """Each storage layout is known to one module.  Only `rotosense.multipole` knows how T_LM is stored: no
 other module names its dense stack, its sectors, its diagonal index or its band tables.  Only
 `rotosense.spin_core` knows how the Clebsch-Gordan embedding is stored: no other module names its
-coupling table, builds a strided view with `np.ndarray(...)` or reads `.strides`."""
+coupling table, builds a strided view with `np.ndarray(...)` or reads `.strides`.  Only `rotosense.spin_core`
+builds a value without its checks: no other module calls `object.__new__`, so every value derived from
+checked ones goes through its one private constructor."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,12 @@ def embedding_sites(path: Path) -> list:
     return layout_sites(path, EMBEDDING_NAMES) + view_sites(path)
 
 
+def unchecked_sites(path: Path) -> list:
+    """Lines of `path` that call `object.__new__`, which builds a value without running its checks."""
+    return [f"{path.name}:{node.lineno} object.__new__" for node in ast.walk(parse(path))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"]
+
+
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "multipole.py"),
                          ids=lambda p: p.name)
 def test_module_leaves_the_layout_to_multipole(path):
@@ -71,3 +79,13 @@ def test_the_embedding_module_is_seen_to_use_it():
     # the check finds the table, the view and the strides in the one module allowed to use them
     found = {site.split(" ", 1)[1].lstrip(".") for site in embedding_sites(PACKAGE / "spin_core.py")}
     assert set(EMBEDDING_NAMES) | {"np.ndarray(...)", "strides"} <= found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "spin_core.py"),
+                         ids=lambda p: p.name)
+def test_module_leaves_unchecked_construction_to_spin_core(path):
+    assert unchecked_sites(path) == []
+
+
+def test_the_private_constructor_is_seen_in_spin_core():
+    assert len(unchecked_sites(PACKAGE / "spin_core.py")) == 1
