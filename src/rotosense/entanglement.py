@@ -15,8 +15,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .spin_core import (DensityMatrix, PureState, SpinLabel, _embed_operator, _embed_vector,
-                        check_count, check_density_matrices, mixture_matrices)
+from .spin_core import (DensityMatrix, PureState, SpinLabel, _embed_operator, _embed_vector, check_count,
+                        mixture_matrices)
 from .subspaces import SubspaceFrame, verify_subspace
 
 NEGATIVITY_TOL = 1e-9
@@ -161,10 +161,9 @@ def protected_negativity_suite(
     four predicted eigenvalue families exactly.  The Dirichlet weights are
     drawn from `seed` first, all rows in one call, which draws the same
     stream as one call per row; all mixtures are built as one stack by
-    `spin_core.mixture_matrices` and checked by
-    `spin_core.check_density_matrices`, the builder and check of
-    `DensityMatrix.from_mixture`, and their spectra are taken together, one
-    stack per order t'.
+    `spin_core.mixture_matrices`, the builder of `DensityMatrix.from_mixture`,
+    and, as mixtures of checked states, are not judged again; their spectra
+    are taken together, one stack per order t'.
     """
     check_count("weight_samples", weight_samples, 1)
     check_count("seed", seed, 0)
@@ -188,7 +187,6 @@ def protected_negativity_suite(
 
     weights = rng.dirichlet(np.ones(k), size=weight_samples) if k > 1 else np.ones((weight_samples, 1))
     states = mixture_matrices(weights, frame.basis)
-    check_density_matrices(states, spin.dimension)
     worst = 0.0
     for tp in range(1, t + 1):
         spectra = _partial_transpose_spectrum(states, Bipartition.of(spin, tp))

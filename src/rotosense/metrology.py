@@ -35,7 +35,6 @@ from .spin_core import (
     SpinLabel,
     _readonly,
     angular_momentum_operators,
-    component_along,
     rotation_operator,
     unit_axis,
 )
@@ -87,25 +86,6 @@ def _qfi_pair_weights(lam: np.ndarray) -> np.ndarray:
 def qfi(rho: DensityMatrix, axis) -> float:
     """QFI for a rotation about `axis`: n^T K n of `qfi_quadratic_form`, the value `rotosense qfi --axis` prints."""
     return qfi_quadratic_form(rho).evaluate(axis)
-
-
-def qfi_from_moments(rho: DensityMatrix, axis) -> float:
-    """Algebraically equivalent form 4 Tr(rho Jn^2) - 8 sum_im lam lam/(lam+lam) |..|^2.
-
-    The correction sum runs over image pairs only.  Kept as an independent
-    route through the same definition; tests cross-check it against `qfi`.
-    """
-    lam, vec = rho.spectrum
-    jn = component_along(rho.spin, axis)
-    keep = lam >= DEFAULT_RANK_TOL
-    lam_im = lam[keep]
-    m_im = (vec.conj().T @ jn @ vec)[np.ix_(keep, keep)]
-    s = lam_im[:, None] + lam_im[None, :]
-    prod = lam_im[:, None] * lam_im[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.where(s > 0, prod / np.where(s > 0, s, 1.0), 0.0)
-    moment = float(np.trace(rho.matrix @ jn @ jn).real)
-    return 4.0 * moment - 8.0 * float(np.sum(w * np.abs(m_im) ** 2))
 
 
 @dataclass(frozen=True, eq=False)

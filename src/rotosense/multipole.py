@@ -38,7 +38,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .spin_core import DensityMatrix, SpinLabel, _derived, _multipole_row, _readonly, check_count
+from .spin_core import DensityMatrix, SpinLabel, _derived, _multipole_row, _readonly, _trim_factorials, check_count
 
 CONJUGATION_TOL = 1e-12
 
@@ -80,6 +80,7 @@ def _sector(two_j: int, L: int) -> np.ndarray:
     for M in range(1, L + 1):
         # T_L,-M[i, i - M] = (-1)^M T_LM[i - M, i]; + 0.0 turns -0.0 into the +0.0 a zero sum gives
         out[L - M, M:] = (-1) ** M * out[L + M, :d - M] + 0.0
+    _trim_factorials()
     return _readonly(out)
 
 

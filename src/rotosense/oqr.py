@@ -140,11 +140,6 @@ def spin3_oqr_family(lambda1: float) -> DensityMatrix:
     return DensityMatrix.from_mixture(weights / weights.sum(), frame.basis)
 
 
-def spin3_mixture_a2(lambda3: float) -> float:
-    """A_2 of a mixture over the spin-3 triple with weight lambda3 on |3,0>."""
-    return 3.0 * (2.0 - lambda3) * (4.0 + 3.0 * lambda3) / 25.0
-
-
 def pure_coherent_superposition_a2(a: complex, b: complex, c: complex) -> float:
     """A_2 of a |psi> = a psi_1 + b psi_2 + c psi_3 superposition (spin-3 triple).
 

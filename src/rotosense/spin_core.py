@@ -103,37 +103,6 @@ def check_orthonormal(spin: SpinLabel, states, what: str) -> None:
         raise ValueError(f"{what} not orthonormal: deviation {dev:.3e}")
 
 
-def check_density_matrices(matrices: np.ndarray, d: int) -> None:
-    """Raise unless each matrix of an (n, d, d) stack is a density matrix.
-
-    The gates run in the order finite, Hermitian within HERMITICITY_TOL,
-    unit trace within TRACE_TOL, PSD within PSD_TOL, and the error is the one
-    a lone matrix raises, with its numbers, for the first matrix that fails
-    one; a lone matrix is checked as the stack `m[None]`.  Each matrix's
-    numbers are those a lone matrix gives, and `eigvalsh`, one LAPACK call
-    per matrix, runs only on the matrices before the first that fails
-    another gate.
-    """
-    if matrices.shape[1:] != (d, d):
-        raise ValueError(f"matrix has shape {matrices.shape[1:]}, expected ({d}, {d})")
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum of huge entries reads as inf, not as a warning
-        finite = np.isfinite(matrices).all(axis=(1, 2)).tolist()
-        herm = np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
-        tr = np.trace(matrices, axis1=1, axis2=2).tolist()
-    first = next((i for i, (f, h, t) in enumerate(zip(finite, herm, tr))
-                  if not f or h > HERMITICITY_TOL or abs(t - 1.0) > TRACE_TOL), len(tr))
-    for lam_min in np.linalg.eigvalsh(matrices[:first])[:, 0].tolist():
-        if lam_min < -PSD_TOL:
-            raise ValueError(f"matrix not PSD: smallest eigenvalue {lam_min:.3e}")
-    if first == len(tr):
-        return
-    if not finite[first]:
-        raise ValueError("matrix not finite: it holds NaN or infinite entries")
-    if herm[first] > HERMITICITY_TOL:
-        raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {herm[first]:.3e}")
-    raise ValueError(f"trace is {tr[first]}, |trace - 1| = {abs(tr[first] - 1.0):.3e}, expected at most {TRACE_TOL}")
-
-
 def mixture_matrices(weights: np.ndarray, states) -> np.ndarray:
     """sum_i w_i |a_i><a_i| over the pure states a_i, for each row of an (n, k) weight array, as (n, d, d).
 
@@ -222,10 +191,13 @@ class PureState:
 
     @classmethod
     def from_unnormalized(cls, spin: SpinLabel, amplitudes) -> "PureState":
+        """The state along a non-zero finite vector: divided by its `_with_norm` norm and not judged again."""
         amp, norm = _with_norm(np.asarray(amplitudes, dtype=complex))
         if not 0.0 < norm < math.inf:
             raise ValueError(f"amplitudes must be a non-zero finite vector whose norm is a float, got norm {norm}")
-        return cls(spin, amp / norm)
+        if amp.shape != (spin.dimension,):
+            raise ValueError(f"amplitude vector has shape {amp.shape}, expected ({spin.dimension},)")
+        return _derived(cls, spin=spin, amplitudes=amp / norm)
 
     @classmethod
     def basis_state(cls, spin: SpinLabel, two_m: int) -> "PureState":
@@ -256,8 +228,24 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        """The gates run in the order shape, finite, Hermitian within HERMITICITY_TOL, unit trace within
+        TRACE_TOL and PSD within PSD_TOL; `eigvalsh` runs only on a matrix that passed the others."""
         m = np.asarray(self.matrix, dtype=complex)
-        check_density_matrices(m[None], self.spin.dimension)
+        d = self.spin.dimension
+        if m.shape != (d, d):
+            raise ValueError(f"matrix has shape {m.shape}, expected ({d}, {d})")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix not finite: it holds NaN or infinite entries")
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum of huge entries reads as inf, not as a warning
+            herm = float(np.abs(m - m.conj().T).max())
+            tr = complex(np.trace(m))
+        if herm > HERMITICITY_TOL:
+            raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {herm:.3e}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace is {tr}, |trace - 1| = {abs(tr - 1.0):.3e}, expected at most {TRACE_TOL}")
+        lam_min = float(np.linalg.eigvalsh(m)[0])
+        if lam_min < -PSD_TOL:
+            raise ValueError(f"matrix not PSD: smallest eigenvalue {lam_min:.3e}")
         object.__setattr__(self, "matrix", _readonly(m.copy()))
 
     @classmethod
@@ -267,10 +255,11 @@ class DensityMatrix:
 
     @classmethod
     def from_mixture(cls, weights, states) -> "DensityMatrix":
-        """Convex mixture of pure states (weights need not be sorted), built by `mixture_matrices`."""
+        """Convex mixture of checked pure states (weights need not be sorted), built by `mixture_matrices`,
+        which checks the weights and states, and not judged again."""
         states = list(states)
         matrices = mixture_matrices(np.asarray(weights, dtype=float)[None], states)
-        return cls(states[0].spin, matrices[0])
+        return _derived(cls, spin=states[0].spin, matrix=matrices[0])
 
     @property
     def purity(self) -> float:
@@ -369,12 +358,6 @@ def angular_momentum_operators(spin: SpinLabel):
     return _jops(spin.two_j)
 
 
-def ladder_operators(spin: SpinLabel):
-    """(J+, J-)."""
-    jx, jy, _ = _jops(spin.two_j)
-    return jx + 1j * jy, jx - 1j * jy
-
-
 def component_along(spin: SpinLabel, axis) -> np.ndarray:
     """J_n = n . J for a unit vector n."""
     ax = unit_axis(axis)
@@ -412,6 +395,7 @@ def rotation_operator_euler(spin: SpinLabel, alpha: float, beta: float, gamma: f
 # ---------------------------------------------------------------------------
 
 _FACTORIALS = [1]
+_FACTORIAL_CAP = 162  # entries kept between calls: k! for k <= 2j + L + 1 = 161 covers every sector up to 2j = 80
 
 
 def _factorials(n: int) -> list:
@@ -419,6 +403,12 @@ def _factorials(n: int) -> list:
     for k in range(len(_FACTORIALS), n + 1):
         _FACTORIALS.append(_FACTORIALS[-1] * k)
     return _FACTORIALS
+
+
+def _trim_factorials() -> None:
+    """Drop the table's entries past _FACTORIAL_CAP, as `clebsch_gordan_2` and `multipole._sector` do when they
+    return, so a huge call leaves no huge table behind."""
+    del _FACTORIALS[_FACTORIAL_CAP:]
 
 
 def _racah_cg(numerator: int, denominator: int, a: int, b: int, c: int, d: int, e: int, f: list) -> float:
@@ -474,7 +464,9 @@ def clebsch_gordan_2(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -
         * f[b] * f[(tj1 + tm1) // 2] * f[c] * f[(tj2 - tm2) // 2]
         * f[(tj + tm) // 2] * f[(tj - tm) // 2]
     )
-    return _racah_cg(prefactor, f[top], a, b, c, (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2, f)
+    value = _racah_cg(prefactor, f[top], a, b, c, (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2, f)
+    _trim_factorials()
+    return value
 
 
 def _multipole_row(two_j: int, L: int, M: int) -> list:

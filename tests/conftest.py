@@ -5,7 +5,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, clebsch_gordan_2
+from rotosense.spin_core import (
+    DEFAULT_RANK_TOL,
+    DensityMatrix,
+    PureState,
+    SpinLabel,
+    angular_momentum_operators,
+    clebsch_gordan_2,
+    component_along,
+)
 
 
 def random_pure(spin: SpinLabel, rng) -> PureState:
@@ -39,6 +47,36 @@ def signed_zero_densities(spin: SpinLabel, rng) -> list:
 def random_axis(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def ladder_operators(spin: SpinLabel):
+    """(J+, J-)."""
+    jx, jy, _ = angular_momentum_operators(spin)
+    return jx + 1j * jy, jx - 1j * jy
+
+
+def qfi_from_moments(rho: DensityMatrix, axis) -> float:
+    """QFI in the algebraically equivalent form 4 Tr(rho Jn^2) - 8 sum_im lam lam/(lam+lam) |..|^2.
+
+    The correction sum runs over image pairs only: an independent route through the same definition,
+    to cross-check `metrology.qfi`.
+    """
+    lam, vec = rho.spectrum
+    jn = component_along(rho.spin, axis)
+    keep = lam >= DEFAULT_RANK_TOL
+    lam_im = lam[keep]
+    m_im = (vec.conj().T @ jn @ vec)[np.ix_(keep, keep)]
+    s = lam_im[:, None] + lam_im[None, :]
+    prod = lam_im[:, None] * lam_im[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.where(s > 0, prod / np.where(s > 0, s, 1.0), 0.0)
+    moment = float(np.trace(rho.matrix @ jn @ jn).real)
+    return 4.0 * moment - 8.0 * float(np.sum(w * np.abs(m_im) ** 2))
+
+
+def spin3_mixture_a2(lambda3: float) -> float:
+    """A_2 of a mixture over the spin-3 triple with weight lambda3 on |3,0>."""
+    return 3.0 * (2.0 - lambda3) * (4.0 + 3.0 * lambda3) / 25.0
 
 
 def fraction_clebsch_gordan_2(tj1, tm1, tj2, tm2, tj, tm) -> float:

@@ -21,7 +21,6 @@ from rotosense.metrology import (
     fidelity_taylor_check,
     fixed_axis_optimum,
     qfi,
-    qfi_from_moments,
     qfi_quadratic_form,
 )
 from rotosense.multipole import multipole_operator, MultipoleIndex
@@ -51,7 +50,7 @@ from rotosense.subspaces import (
     two_ac_family_dimension,
     upper_bound_kmax,
 )
-from conftest import random_axis, random_density, random_pure
+from conftest import qfi_from_moments, random_axis, random_density, random_pure
 
 EZ = np.array([0.0, 0.0, 1.0])
 

@@ -38,12 +38,12 @@ from rotosense import (
     upper_bound_kmax,
     verify_subspace,
 )
-from rotosense.metrology import qfi_from_moments
 from rotosense import multipole
 from rotosense.multipole import multipole_operator, multipole_stack
 from rotosense.oqr import spin2_family, spin32_ghz, spin3_oqr_family
 from rotosense import spin_core
 from rotosense.subspaces import spin2_plane
+from conftest import qfi_from_moments
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150,
                 suppress_health_check=[HealthCheck.too_slow])

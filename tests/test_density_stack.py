@@ -1,19 +1,18 @@
-"""The stacked density-matrix check and mixture builder of spin_core, and the suite that runs on them."""
+"""The density-matrix gate and the mixture builder of spin_core, and the suite that runs on the builder."""
 
-import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 import rotosense.entanglement as entanglement
+from rotosense import spin_core
 from rotosense.entanglement import protected_negativity_suite
 from rotosense.spin_core import (
     HERMITICITY_TOL,
     TRACE_TOL,
     DensityMatrix,
     SpinLabel,
-    check_density_matrices,
     mixture_matrices,
 )
 from rotosense.subspaces import catalog
@@ -23,12 +22,6 @@ from conftest import random_density, random_pure
 def lone_error(spin, matrix) -> str:
     with pytest.raises(ValueError) as info:
         DensityMatrix(spin, matrix)
-    return str(info.value)
-
-
-def stack_error(matrices, d) -> str:
-    with pytest.raises(ValueError) as info:
-        check_density_matrices(matrices, d)
     return str(info.value)
 
 
@@ -49,67 +42,63 @@ def broken(kind, rho: np.ndarray) -> np.ndarray:
 KINDS = ("finite", "hermitian", "trace", "psd")
 
 
-class TestStackedCheck:
-    def test_valid_stack_passes(self, rng):
+class TestDensityGate:
+    def test_valid_matrices_pass(self, rng):
         s = SpinLabel(6)
-        check_density_matrices(np.stack([random_density(s, rng, rank=r).matrix for r in (1, 3, 7)]), s.dimension)
+        for r in (1, 3, 7):
+            m = random_density(s, rng, rank=r).matrix
+            assert DensityMatrix(s, m).matrix.tobytes() == m.tobytes()
 
-    @pytest.mark.parametrize("first, later", list(itertools.product(KINDS, KINDS)))
-    def test_first_bad_matrix_names_the_error(self, rng, first, later):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_gate_names_its_error(self, rng, kind):
         s = SpinLabel(4)
-        good = [random_density(s, rng).matrix for _ in range(4)]
-        stack = np.stack([good[0], good[1], broken(first, good[2]), good[3], broken(later, good[3])])
-        message = stack_error(stack, s.dimension)
-        assert message == lone_error(s, stack[2])
+        message = lone_error(s, broken(kind, random_density(s, rng).matrix))
         assert message.startswith({"finite": "matrix not finite", "hermitian": "matrix not Hermitian",
-                                   "trace": "trace is", "psd": "matrix not PSD"}[first])
+                                   "trace": "trace is", "psd": "matrix not PSD"}[kind])
 
-    def test_wrong_shape_names_one_matrix(self):
-        stack = np.zeros((3, 2, 3), dtype=complex)
-        assert stack_error(stack, 2) == lone_error(SpinLabel(1), stack[0]) == "matrix has shape (2, 3), expected (2, 2)"
+    def test_gates_run_in_order(self, rng):
+        # a matrix that fails every gate is named by the first: finite, then Hermitian, then trace
+        s = SpinLabel(4)
+        m = broken("trace", broken("hermitian", random_density(s, rng).matrix))
+        assert lone_error(s, m).startswith("matrix not Hermitian")
+        m[2, 2] = np.inf
+        assert lone_error(s, m).startswith("matrix not finite")
+
+    def test_wrong_shape_is_named(self):
+        assert lone_error(SpinLabel(1), np.zeros((2, 3), dtype=complex)) == "matrix has shape (2, 3), expected (2, 2)"
 
     @pytest.mark.parametrize("shape", [(1, 2, 2), (4,), ()])
     def test_lone_matrix_must_be_two_dimensional(self, shape):
         assert lone_error(SpinLabel(1), np.zeros(shape)) == f"matrix has shape {shape}, expected (2, 2)"
 
-    def test_huge_entries_raise_cleanly_in_a_stack(self, rng):
+    def test_huge_entries_raise_cleanly(self):
         huge = [[[1e308, 1e308], [-1e308, 1 - 1e308]], [[1e308, 1e308j], [1e308j, 1.0]], [[1e308, 0.0], [0.0, 1e308]]]
-        good = random_density(SpinLabel(1), rng).matrix
-        for m in np.array(huge, dtype=complex):
+        for m, prefix in zip(np.array(huge, dtype=complex), ("matrix not Hermitian", "matrix not Hermitian", "trace is")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert stack_error(np.stack([good, m, good]), 2) == lone_error(SpinLabel(1), m)
+                assert lone_error(SpinLabel(1), m).startswith(prefix)
 
     @pytest.mark.parametrize("gate", ["trace", "hermitian"])
-    def test_gates_agree_with_a_lone_matrix_at_the_tolerance(self, rng, gate):
-        # matrices a few ulps either side of the tolerance: the stack accepts exactly those a lone matrix accepts
+    def test_gates_sit_at_the_tolerance(self, rng, gate):
+        # matrices a few ulps either side of the tolerance: a matrix passes exactly when its deviation does
         s = SpinLabel(9)
         rho = random_density(s, rng).matrix
-        stack = []
+        verdicts = []
         for step in range(-40, 41):
             m = rho.copy()
             if gate == "trace":
                 m *= 1.0 + TRACE_TOL * (1.0 + step * 1e-4)
+                within = abs(complex(np.trace(m)) - 1.0) <= TRACE_TOL
             else:
                 m[0, 1] += HERMITICITY_TOL * (1.0 + step * 1e-4)
-            stack.append(m)
-        stack = np.stack(stack)
-        lone_ok = []
-        for m in stack:
+                within = float(np.abs(m - m.conj().T).max()) <= HERMITICITY_TOL
             try:
                 DensityMatrix(s, m)
-                lone_ok.append(True)
+                verdicts.append((within, True))
             except ValueError:
-                lone_ok.append(False)
-        assert True in lone_ok and False in lone_ok
-        for i, m in enumerate(stack):
-            try:
-                check_density_matrices(stack[i:i + 1], s.dimension)
-                assert lone_ok[i]
-            except ValueError:
-                assert not lone_ok[i]
-        first = lone_ok.index(False)
-        assert stack_error(stack, s.dimension) == lone_error(s, stack[first])
+                verdicts.append((within, False))
+        assert all(within == passed for within, passed in verdicts)
+        assert {passed for _, passed in verdicts} == {True, False}
 
 
 def loop_mixture(weights, states) -> np.ndarray:
@@ -157,37 +146,24 @@ class TestMixtureBuilder:
 
 class TestSuiteRunsOneStack:
     def test_no_density_matrix_per_sample(self, monkeypatch):
-        built, checked = [], []
-        post_init, check = DensityMatrix.__post_init__, entanglement.check_density_matrices
+        # the samples are mixtures of checked states, built as one stack and not judged again
+        built, stacks = [], []
+        post_init, build = DensityMatrix.__post_init__, entanglement.mixture_matrices
 
         def counting_post_init(self):
             built.append(self)
             post_init(self)
 
-        def recording_check(matrices, d):
-            checked.append(matrices.shape)
-            check(matrices, d)
+        def recording_build(weights, states):
+            stacks.append(weights.shape)
+            return build(weights, states)
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
-        monkeypatch.setattr(entanglement, "check_density_matrices", recording_check)
+        monkeypatch.setattr(entanglement, "mixture_matrices", recording_build)
         entry = catalog()["(7/2,2,2)"]
         report = protected_negativity_suite(entry.frame, entry.order_t, 20, 5)
         assert report.all_pass
         assert built == []
-        assert checked == [(20, 8, 8)]
-
-    def test_a_bad_mixture_raises_the_lone_error(self, monkeypatch):
-        # the suite's check is DensityMatrix's: a corrupted sample fails it with the lone matrix's message
-        entry = catalog()["(2,2,1)"]
-        build = entanglement.mixture_matrices
-
-        def corrupting(weights, states):
-            m = build(weights, states)
-            m[3] = broken("psd", m[3])
-            return m
-
-        monkeypatch.setattr(entanglement, "mixture_matrices", corrupting)
-        want = lone_error(entry.frame.spin, broken("psd", np.eye(5) / 5))
-        with pytest.raises(ValueError) as info:
-            protected_negativity_suite(entry.frame, entry.order_t, 20, 5)
-        assert str(info.value) == want
+        assert stacks == [(20, entry.frame.k)]
+        # the constructor holds the one density gate: no stack gate is left to run
+        assert not hasattr(spin_core, "check_density_matrices")

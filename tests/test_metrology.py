@@ -21,7 +21,6 @@ from rotosense.metrology import (
     fidelity_taylor_check,
     fixed_axis_optimum,
     qfi,
-    qfi_from_moments,
     qfi_quadratic_form,
     uhlmann_fidelity,
 )
@@ -37,7 +36,7 @@ from rotosense.spin_core import (
     direction,
     rotation_operator,
 )
-from conftest import random_axis, random_density, random_pure
+from conftest import qfi_from_moments, random_axis, random_density, random_pure
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])

@@ -18,9 +18,8 @@ from rotosense.spin_core import (
     PureState,
     SpinLabel,
     angular_momentum_operators,
-    ladder_operators,
 )
-from conftest import fraction_clebsch_gordan_2, random_density, serial_sector
+from conftest import fraction_clebsch_gordan_2, ladder_operators, random_density, serial_sector
 
 
 def all_indices(two_j):

@@ -15,7 +15,6 @@ from rotosense.oqr import (
     spin2_family_inverse_qfi,
     spin2_family_purity,
     spin32_ghz,
-    spin3_mixture_a2,
     spin3_oqr_family,
 )
 from rotosense.spin_core import DensityMatrix, PureState, SpinLabel, eigen_mixture
@@ -27,7 +26,7 @@ from rotosense.subspaces import (
     objective_g_t,
     spin3_one_ac_triple,
 )
-from conftest import random_density
+from conftest import random_density, spin3_mixture_a2
 
 
 def spin32_two_ac_mixture():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rotosense import spin_core
 from rotosense.entanglement import Bipartition, embed_bipartite
 from rotosense.spin_core import (
     AxisAngle,
@@ -352,6 +353,14 @@ class TestIntegerRacahSum:
             want = np.array([[fraction_clebsch_gordan_2(ta, ta - 2 * ia, tb, tb - 2 * ib, two_j, two_j - 2 * (ia + ib))
                               for ib in range(tb + 1)] for ia in range(ta + 1)])
             assert _coupling_table(two_j, t).tobytes() == want.tobytes()
+
+    def test_a_huge_call_leaves_the_factorial_table_at_its_cap(self):
+        first = clebsch_gordan(2000, 2000, 4000, 0, 0, 0)  # grows the table to k! for k <= 4001
+        assert len(spin_core._FACTORIALS) == spin_core._FACTORIAL_CAP >= 162
+        assert all(f == math.factorial(k) for k, f in enumerate(spin_core._FACTORIALS))
+        again = clebsch_gordan(2000, 2000, 4000, 0, 0, 0)
+        assert np.float64(again).tobytes() == np.float64(first).tobytes()
+        assert 0.0 < first < 1.0
 
 
 def layout_positions(two_j, t):

@@ -1,14 +1,16 @@
 """Value types: how they compare and hash, and which values are checked where they enter.
 
 Array-holding values compare by identity; the others compare by value.  A value that the library
-derives from a checked value (`PureState.density_matrix`, `reduced_state`, `eigen_mixture`, `expand`
-and the image frame of `certify`) is not checked again: it keeps the bits the checked constructor would
-give it, and rounding cannot carry it past a gate that its source passed.
+derives from checked values (`PureState.density_matrix`, `PureState.from_unnormalized`,
+`DensityMatrix.from_mixture` and the protected-negativity suite's samples, `reduced_state`,
+`eigen_mixture`, `expand` and the image frame of `certify`) is not checked again: it keeps the bits the
+checked constructor would give it, and rounding cannot carry it past a gate that its source passed.
 """
 
 import copy
 import dataclasses
 import importlib
+import json
 import pkgutil
 import re
 
@@ -17,6 +19,7 @@ import pytest
 
 import rotosense
 from rotosense.anticoherence import anticoherence_report, is_anticoherent, reduced_state
+from rotosense.cli import main
 from rotosense.entanglement import Bipartition, negativity, protected_negativity_suite
 from rotosense.io import RunManifest, SubspaceFileContent, load_state, save_state
 from rotosense.metrology import crb_report, fidelity_taylor_check, fixed_axis_optimum, qfi_quadratic_form
@@ -31,6 +34,7 @@ from rotosense.spin_core import (
     SpinLabel,
     _partial_trace,
     eigen_mixture,
+    mixture_matrices,
 )
 from rotosense.subspaces import (
     KmaxScan,
@@ -148,6 +152,15 @@ def band_state() -> DensityMatrix:
     return DensityMatrix(SpinLabel(20), m)
 
 
+def refuse_checks(monkeypatch) -> None:
+    """From here on, fail the test if a PureState or DensityMatrix is checked."""
+    def refuse(value):
+        raise AssertionError(f"{type(value).__name__} judged again")
+
+    monkeypatch.setattr(PureState, "__post_init__", refuse)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+
+
 class TestDerivedValuesAreNotJudgedAgain:
     def test_density_matrix_of_a_pure_state_at_the_norm_gate(self):
         psi = PureState(SpinLabel(2), [1 + 0.9e-12, 0, 0])
@@ -169,6 +182,24 @@ class TestDerivedValuesAreNotJudgedAgain:
         report = anticoherence_report(rho)
         assert report.certified_order == 19
 
+    def test_mixture_of_a_state_at_the_norm_gate(self):
+        psi = PureState(SpinLabel(2), [1 + 0.9e-12, 0, 0])
+        rho = DensityMatrix.from_mixture([1.0], [psi])  # its trace, 1 + 1.8e-12, is past TRACE_TOL
+        assert rho.matrix.tobytes() == mixture_matrices(np.ones((1, 1)), [psi])[0].tobytes()
+        assert not rho.matrix.flags.writeable
+
+    def test_certify_of_a_mixed_eigen_file_at_the_norm_gate(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"two_j": 2, "kind": "mixed-eigen", "weights": [1.0],
+                                    "states": [[[1 + 0.9e-12, 0.0], [0.0, 0.0], [0.0, 0.0]]]}))
+        assert main(["certify", str(path)]) == 3  # a coherent state: graded, not an invalid file
+        assert json.loads(capsys.readouterr().out)["is_oqr_qcrb"] is False
+
+    def test_suite_of_a_frame_at_the_norm_gate(self):
+        frame = catalog()["(2,2,1)"].frame
+        scaled = SubspaceFrame(frame.spin, [PureState(frame.spin, s.amplitudes * (1 + 0.9e-12)) for s in frame.basis])
+        assert protected_negativity_suite(scaled, 1, 20, 5).all_pass
+
     def test_the_same_matrix_from_a_caller_is_still_checked(self):
         with pytest.raises(ValueError, match=re.escape("not Hermitian: max |M - M^dag| = 7.708e-12")):
             DensityMatrix(SpinLabel(1), reduced_state(band_state(), 1).matrix)
@@ -185,6 +216,25 @@ class TestDerivedValuesKeepTheirBits:
             assert rt.matrix.tobytes() == _partial_trace(rho.matrix, t).tobytes()
             assert rt.matrix.tobytes() == DensityMatrix(SpinLabel(t), _partial_trace(rho.matrix, t)).matrix.tobytes()
             assert rt.matrix.flags.c_contiguous and not rt.matrix.flags.writeable
+
+    def test_from_unnormalized(self, rng, monkeypatch):
+        amp = rng.normal(size=7) + 1j * rng.normal(size=7)
+        checked = PureState(SpinLabel(6), amp / np.linalg.norm(amp))
+        refuse_checks(monkeypatch)
+        psi = PureState.from_unnormalized(SpinLabel(6), amp)
+        assert psi.amplitudes.tobytes() == checked.amplitudes.tobytes()
+        assert not psi.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_from_mixture(self, rng, monkeypatch, k):
+        states = [PureState.from_unnormalized(SpinLabel(6), rng.normal(size=7) + 1j * rng.normal(size=7))
+                  for _ in range(k)]
+        weights = rng.dirichlet(np.ones(k))
+        checked = DensityMatrix(SpinLabel(6), mixture_matrices(weights[None], states)[0])
+        refuse_checks(monkeypatch)
+        rho = DensityMatrix.from_mixture(weights, states)
+        assert rho.matrix.tobytes() == checked.matrix.tobytes()
+        assert rho.matrix.flags.c_contiguous and not rho.matrix.flags.writeable
 
     def test_density_matrix(self, rng):
         amp = rng.normal(size=7) + 1j * rng.normal(size=7)
