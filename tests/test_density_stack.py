@@ -1,5 +1,6 @@
 """The density-matrix gate and the mixture builder of spin_core, and the suite that runs on the builder."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -28,8 +29,8 @@ def lone_error(spin, matrix) -> str:
 def broken(kind, rho: np.ndarray) -> np.ndarray:
     """A copy of a valid density matrix that fails exactly the gate `kind`."""
     m = rho.copy()
-    if kind == "finite":
-        m[0, 1] = m[1, 0] = np.nan
+    if kind == "finite":  # away from the entry the "hermitian" break moves, so the two breaks compose
+        m[-1, -2] = m[-2, -1] = np.nan
     elif kind == "hermitian":
         m[0, 1] += 1e-6
     elif kind == "trace":
@@ -39,7 +40,9 @@ def broken(kind, rho: np.ndarray) -> np.ndarray:
     return m
 
 
-KINDS = ("finite", "hermitian", "trace", "psd")
+KINDS = ("finite", "hermitian", "trace", "psd")  # in the order the gates run
+PREFIX = {"finite": "matrix not finite", "hermitian": "matrix not Hermitian", "trace": "trace is",
+          "psd": "matrix not PSD"}
 
 
 class TestDensityGate:
@@ -52,17 +55,18 @@ class TestDensityGate:
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_gate_names_its_error(self, rng, kind):
         s = SpinLabel(4)
-        message = lone_error(s, broken(kind, random_density(s, rng).matrix))
-        assert message.startswith({"finite": "matrix not finite", "hermitian": "matrix not Hermitian",
-                                   "trace": "trace is", "psd": "matrix not PSD"}[kind])
+        assert lone_error(s, broken(kind, random_density(s, rng).matrix)).startswith(PREFIX[kind])
 
-    def test_gates_run_in_order(self, rng):
-        # a matrix that fails every gate is named by the first: finite, then Hermitian, then trace
+    @pytest.mark.parametrize("first, later", list(itertools.combinations(KINDS, 2)))
+    def test_gates_run_in_order(self, rng, first, later):
+        # a matrix that fails two gates is named by the one that runs first, whichever break was made first
         s = SpinLabel(4)
-        m = broken("trace", broken("hermitian", random_density(s, rng).matrix))
-        assert lone_error(s, m).startswith("matrix not Hermitian")
-        m[2, 2] = np.inf
-        assert lone_error(s, m).startswith("matrix not finite")
+        rho = random_density(s, rng).matrix
+        both = [broken(first, broken(later, rho))]
+        if later != "psd":  # the "psd" break replaces the whole matrix, so it can only be made first
+            both.append(broken(later, broken(first, rho)))
+        for m in both:
+            assert lone_error(s, m).startswith(PREFIX[first])
 
     def test_wrong_shape_is_named(self):
         assert lone_error(SpinLabel(1), np.zeros((2, 3), dtype=complex)) == "matrix has shape (2, 3), expected (2, 2)"
